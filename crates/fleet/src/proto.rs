@@ -254,6 +254,8 @@ pub mod code {
     pub const WORKER_DIED: u64 = 7;
     /// The request's deadline expired on the worker.
     pub const DEADLINE: u64 = 8;
+    /// The input holds a NaN or an infinity.
+    pub const NON_FINITE_INPUT: u64 = 9;
 }
 
 /// The serving knobs a worker's embedded `CertServer` is configured with,

@@ -159,6 +159,9 @@ pub enum FleetError {
         /// Length of the submitted input.
         got: usize,
     },
+    /// The input holds a NaN or an infinity (refused at the router,
+    /// before any socket).
+    NonFiniteInput,
     /// A worker refused the request under load; retry after the hint.
     Busy {
         /// Worker-estimated backoff.
@@ -184,6 +187,7 @@ impl std::fmt::Display for FleetError {
             FleetError::DimensionMismatch { expected, got } => {
                 write!(f, "input dimension {got}, plan expects {expected}")
             }
+            FleetError::NonFiniteInput => write!(f, "input holds a NaN or an infinity"),
             FleetError::Busy { retry_after } => match retry_after {
                 Some(d) => write!(f, "fleet busy, retry after ~{d:?}"),
                 None => write!(f, "fleet busy"),
@@ -973,6 +977,10 @@ impl Supervisor {
                     }));
                     return;
                 }
+                if !input.iter().all(|v| v.is_finite()) {
+                    slot.fill(Err(FleetError::NonFiniteInput));
+                    return;
+                }
                 // A hot plan's input space spreads round-robin over the
                 // fleet; a cold plan sticks to its home shard.
                 let (home, salt) = if rec.hot {
@@ -1183,6 +1191,7 @@ fn refusal(c: u64, retry_after_nanos: u64) -> FleetError {
             expected: 0,
             got: 0,
         },
+        code::NON_FINITE_INPUT => FleetError::NonFiniteInput,
         code::QUEUE_FULL | code::OVERLOADED => FleetError::Busy {
             retry_after: retry_after(retry_after_nanos),
         },

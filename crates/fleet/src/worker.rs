@@ -16,7 +16,11 @@
 //! * a malformed frame is answered with a best-effort [`Message::Bye`]
 //!   and a **clean** nonzero exit (never a panic) — the wire-fuzz suite
 //!   distinguishes exit code 1 from the panic code 101;
-//! * answer-pump and campaign threads carry an abort-on-panic guard: a
+//! * campaign shards and log audits run on helper threads, so the frame
+//!   loop keeps answering pings however long they take — an audit of a
+//!   large log replayed inline would get a healthy worker
+//!   heartbeat-killed;
+//! * answer-pump and helper threads carry an abort-on-panic guard: a
 //!   panic there (real or chaos-injected) downgrades the whole process
 //!   to a kill, which the router's supervision handles, instead of a
 //!   silently wedged worker that still answers pings;
@@ -184,7 +188,8 @@ pub fn run_worker(
         }
     });
 
-    let mut campaign_threads = Vec::new();
+    // Campaign-shard and audit threads, joined at exit.
+    let mut helpers = Vec::new();
     let outcome = loop {
         failpoint!("fleet::recv");
         let msg = match read_message(&mut reader) {
@@ -267,13 +272,13 @@ pub fn run_worker(
             } => {
                 let net: Mlp = net_from_bytes(&net)?;
                 let shard_writer = Arc::clone(&writer);
-                campaign_threads.push(std::thread::spawn(move || {
+                helpers.push(std::thread::spawn(move || {
                     let _guard = AbortOnPanic;
                     failpoint!("fleet::campaign");
                     let trials = run_shard(&net, &counts, kind, &cfg, first, count);
                     let _ = send(&shard_writer, &Message::ShardDone { job, shard, trials });
                 }));
-                campaign_threads.retain(|t| !t.is_finished());
+                helpers.retain(|t| !t.is_finished());
             }
             Message::Ping { nonce } => send(&writer, &Message::Pong { nonce })?,
             Message::StatsReq => {
@@ -281,8 +286,15 @@ pub fn run_worker(
                 send(&writer, &Message::StatsReply(stats))?;
             }
             Message::AuditReq => {
-                let (entries, ok) = state.audit();
-                send(&writer, &Message::AuditReply { entries, ok })?;
+                let (log, registry) = state.audit_snapshot();
+                let audit_writer = Arc::clone(&writer);
+                helpers.push(std::thread::spawn(move || {
+                    let _guard = AbortOnPanic;
+                    let ok = log.verify(&registry).is_ok();
+                    let entries = log.len() as u64;
+                    let _ = send(&audit_writer, &Message::AuditReply { entries, ok });
+                }));
+                helpers.retain(|t| !t.is_finished());
             }
             Message::Shutdown => {
                 state.retire_server();
@@ -300,7 +312,7 @@ pub fn run_worker(
 
     drop(pump_tx);
     state.retire_server();
-    for t in campaign_threads {
+    for t in helpers {
         let _ = t.join();
     }
     let _ = pump.join();
@@ -402,6 +414,7 @@ impl WorkerState {
         self.server().submit(local, input).map_err(|e| match e {
             SubmitError::UnknownPlan(_) => (code::UNKNOWN_PLAN, 0),
             SubmitError::DimensionMismatch { .. } => (code::DIMENSION_MISMATCH, 0),
+            SubmitError::NonFiniteInput => (code::NON_FINITE_INPUT, 0),
             SubmitError::QueueFull { retry_after, .. } => {
                 (code::QUEUE_FULL, retry_after.as_nanos() as u64)
             }
@@ -436,20 +449,19 @@ impl WorkerState {
         out
     }
 
-    /// Replay-verify everything this process ever answered: the live
-    /// server's log plus everything accumulated across rebuilds, checked
-    /// bitwise against direct evaluation.
-    fn audit(&mut self) -> (u64, bool) {
-        let mut entries = self.log.clone();
+    /// Everything this process ever answered — the live server's log
+    /// plus everything accumulated across rebuilds — and the registry to
+    /// replay-verify it against, bitwise, off the frame loop.
+    fn audit_snapshot(&mut self) -> (RequestLog, PlanRegistry) {
         if let Some(server) = &self.server {
-            entries.extend(server.take_log().entries.iter().cloned());
-            // take_log drained the live log; keep those entries for any
+            // take_log drains the live log; keep its entries for any
             // later audit.
-            self.log.extend(entries[self.log.len()..].iter().cloned());
+            self.log.extend(server.take_log().entries);
         }
-        let log = RequestLog { entries };
-        let ok = log.verify(&self.registry).is_ok();
-        (log.len() as u64, ok)
+        let log = RequestLog {
+            entries: self.log.clone(),
+        };
+        (log, self.registry.clone())
     }
 }
 

@@ -9,20 +9,30 @@ use neurofail_par::Parallelism;
 /// The two flush triggers mirror every production batcher: a shard worker
 /// flushes as soon as it holds [`max_batch`](ServeConfig::max_batch) rows,
 /// or once [`max_wait`](ServeConfig::max_wait) has elapsed since it started
-/// collecting the current batch — whichever comes first. `max_wait` is the
-/// latency the engine is willing to *spend* on coalescing; under heavy
-/// concurrent load batches fill before the deadline and the wait costs
-/// nothing, while a lone client pays at most `max_wait` extra latency per
-/// query.
+/// waiting on the current batch — whichever comes first. `max_wait` is the
+/// most latency the engine is willing to *spend* on coalescing, and it is
+/// spent only where there is evidence it gains rows (see `max_wait`):
+/// under heavy concurrent load batches fill before the deadline, and a
+/// lone closed-loop client is answered without waiting at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Flush a batch once it holds this many rows (≥ 1). `1` disables
     /// coalescing entirely — every request is served as its own flush (the
     /// baseline the `serve_throughput` bench compares against).
     pub max_batch: usize,
-    /// Flush a non-full batch once this much time has passed since its
-    /// first row arrived. `Duration::ZERO` means "flush whatever the queue
-    /// currently holds" (greedy drain, no waiting).
+    /// Upper bound on how long a short batch waits for more rows. After
+    /// the greedy drain, a batch still below `max_batch` waits — until it
+    /// fills or `max_wait` passes — only on evidence that waiting gains
+    /// rows: the queue already held a request when the worker came back
+    /// for work, the drain took more than the first row, or the worker's
+    /// previous wait gained at least one row (a fresh worker starts
+    /// willing to wait). Otherwise it flushes at once: a lone closed-loop
+    /// caller is blocked on its own answer, so a wait could never gain it
+    /// a row. `Duration::ZERO` means "flush whatever the queue currently
+    /// holds" (greedy drain, no waiting). The decisions are counted in
+    /// [`ServeStats::waits`](crate::ServeStats::waits),
+    /// [`waits_skipped`](crate::ServeStats::waits_skipped) and
+    /// [`wait_rows`](crate::ServeStats::wait_rows).
     pub max_wait: Duration,
     /// Bound of each plan shard's request queue. A full queue makes
     /// [`submit`](crate::CertServer::submit) block and

@@ -11,7 +11,11 @@
 //! substrate won. This crate closes that gap with **micro-batching**: per
 //! shard, a worker collects queued queries and flushes them — on
 //! `max_batch` rows, or when the `max_wait` coalescing deadline expires,
-//! whichever is first — through the suffix engine: one nominal batched
+//! whichever is first — through the suffix engine. The deadline is paid
+//! only on evidence that waiting gains rows (a queue found non-empty, a
+//! drain of more than one row, or a previous wait that gained one), so a
+//! lone caller querying one fault at a time never waits for company that
+//! cannot come. Each flush is one nominal batched
 //! pass over the flush plus a faulty pass per plan **resumed** at that
 //! plan's first faulty layer
 //! ([`CompiledPlan::output_error_resumed`](neurofail_inject::CompiledPlan::output_error_resumed)

@@ -13,7 +13,13 @@
 //! 2. greedily drain further requests (without blocking) up to
 //!    [`ServeConfig::max_batch`];
 //! 3. if the batch is still short, wait for more until the
-//!    [`ServeConfig::max_wait`] deadline;
+//!    [`ServeConfig::max_wait`] deadline — but only on evidence that
+//!    waiting gains rows: the queue already held a request when the
+//!    worker came back for work, the drain took more than the first row,
+//!    or the worker's previous wait gained one (a fresh worker starts
+//!    willing to wait). Without any of these the batch flushes at once: a
+//!    lone closed-loop caller is blocked on its own answer, so waiting
+//!    can only delay it;
 //! 4. reap rows that must not be served (expired deadlines, quarantined
 //!    plans — each failed with a typed [`RequestError`]), stage the rest
 //!    into the shard's per-worker **in-flight table**, run **one nominal
@@ -94,6 +100,10 @@ pub enum SubmitError {
         /// Length of the submitted input.
         got: usize,
     },
+    /// The input holds a NaN or an infinity. No certificate covers such
+    /// an input, so it is refused here rather than answered with a
+    /// number.
+    NonFiniteInput,
     /// The shard's queue is at capacity (returned by
     /// [`CertServer::try_submit`] only; [`CertServer::submit`] blocks
     /// instead). Carries the observed depth and a backoff hint so callers
@@ -141,6 +151,7 @@ impl std::fmt::Display for SubmitError {
             SubmitError::DimensionMismatch { expected, got } => {
                 write!(f, "input dimension {got}, plan expects {expected}")
             }
+            SubmitError::NonFiniteInput => write!(f, "input holds a NaN or an infinity"),
             SubmitError::QueueFull {
                 depth,
                 capacity,
@@ -668,6 +679,9 @@ impl CertServer {
                 got: input.len(),
             });
         }
+        if !input.iter().all(|v| v.is_finite()) {
+            return Err(SubmitError::NonFiniteInput);
+        }
         if shard.shared.quarantined[slot].load(Ordering::Relaxed) {
             return Err(SubmitError::Quarantined(plan));
         }
@@ -786,8 +800,9 @@ impl CertServer {
     /// [`ServeConfig::default_deadline`] if one is configured.
     ///
     /// # Errors
-    /// [`SubmitError::UnknownPlan`] / [`SubmitError::DimensionMismatch`]
-    /// on malformed submissions (the queue is never touched),
+    /// [`SubmitError::UnknownPlan`] / [`SubmitError::DimensionMismatch`] /
+    /// [`SubmitError::NonFiniteInput`] on malformed submissions (the
+    /// queue is never touched),
     /// [`SubmitError::Quarantined`] for a quarantined plan,
     /// [`SubmitError::Overloaded`] when the shed budget rejects the
     /// submission, and [`SubmitError::ShardDown`] in the unsupervised
@@ -832,7 +847,8 @@ impl CertServer {
     ///
     /// # Errors
     /// The last rejection once attempts are exhausted; non-retryable
-    /// errors (unknown plan, dimension mismatch, quarantine) immediately.
+    /// errors (unknown plan, dimension mismatch, non-finite input,
+    /// quarantine) immediately.
     ///
     /// # Panics
     /// If `policy.max_attempts` is 0.
@@ -1066,13 +1082,6 @@ fn supervisor_loop(
     // drained, and every in-flight table is empty. Nothing to sweep.
 }
 
-/// The micro-batching worker loop (one per shard worker thread).
-///
-/// `initial` is the recovered-row handoff from a dead predecessor (empty
-/// at server start): those rows form the worker's first batch. The loop
-/// stages every batch into the shard's per-worker in-flight table before
-/// computing, and answers each row by *taking* it out — the invariant the
-/// supervisor's recovery rests on (see the [module docs](self)).
 /// Best-effort write-through of a flush's nominal checkpoint to the
 /// shared store tier. Failure (a full disk, a torn publish under chaos)
 /// can cost a future warm start, never the current flush — the computed
@@ -1092,6 +1101,13 @@ fn publish_checkpoint_to(
     }
 }
 
+/// The micro-batching worker loop (one per shard worker thread).
+///
+/// `initial` is the recovered-row handoff from a dead predecessor (empty
+/// at server start): those rows form the worker's first batch. The loop
+/// stages every batch into the shard's per-worker in-flight table before
+/// computing, and answers each row by *taking* it out — the invariant the
+/// supervisor's recovery rests on (see the [module docs](self)).
 fn worker_loop(
     shared: Arc<ShardShared>,
     w: usize,
@@ -1123,31 +1139,53 @@ fn worker_loop(
     let mut order: Vec<usize> = Vec::with_capacity(cfg.max_batch);
     let mut values: Vec<f64> = Vec::with_capacity(cfg.max_batch);
     let mut latencies_ns: Vec<u64> = Vec::with_capacity(cfg.max_batch);
+    // Whether this worker's last flush wait gained a row — one of the
+    // three kinds of evidence that waiting pays (module docs, step 3).
+    // A fresh worker starts out willing to wait.
+    let mut last_wait_gained = true;
 
     loop {
         shared.current_slot[w].store(SLOT_NONE, Ordering::Relaxed);
         neurofail_par::failpoint!("serve::recv");
         if recovered.is_empty() {
-            // Phase 1: block for the batch's first request (or exit once
+            // Phase 1: take the batch's first request — without blocking
+            // if one is already queued — or block for it (or exit once
             // the server dropped the sender and the queue is drained).
-            let Ok(first) = rx.recv() else { break };
+            let (first, was_queued) = match rx.try_recv() {
+                Ok(req) => (req, true),
+                Err(_) => {
+                    let Ok(req) = rx.recv() else { break };
+                    (req, false)
+                }
+            };
             batch.push(first);
 
             // Phase 2: greedy bulk drain (one queue lock for the whole
-            // grab), then wait out the flush deadline if still short.
+            // grab), then wait out the flush deadline if still short and
+            // there is evidence that waiting gains rows. Without it the
+            // first row's caller is most likely a lone closed-loop client
+            // blocked on this very answer, whom waiting can only delay.
             let mut room = cfg.max_batch - batch.len();
-            rx.recv_up_to(&mut batch, room);
+            let drained = rx.recv_up_to(&mut batch, room);
             if !cfg.max_wait.is_zero() && batch.len() < cfg.max_batch {
-                let deadline = Instant::now() + cfg.max_wait;
-                while batch.len() < cfg.max_batch {
-                    match rx.recv_deadline(deadline) {
-                        Ok(req) => {
-                            batch.push(req);
-                            room = cfg.max_batch - batch.len();
-                            rx.recv_up_to(&mut batch, room);
+                if was_queued || drained > 0 || last_wait_gained {
+                    let before = batch.len();
+                    let deadline = Instant::now() + cfg.max_wait;
+                    while batch.len() < cfg.max_batch {
+                        match rx.recv_deadline(deadline) {
+                            Ok(req) => {
+                                batch.push(req);
+                                room = cfg.max_batch - batch.len();
+                                rx.recv_up_to(&mut batch, room);
+                            }
+                            Err(_) => break, // deadline passed or disconnected
                         }
-                        Err(_) => break, // deadline passed or disconnected
                     }
+                    let gained = batch.len() - before;
+                    last_wait_gained = gained > 0;
+                    stats.on_wait(gained);
+                } else {
+                    stats.on_wait_skipped();
                 }
             }
         } else {
@@ -1477,6 +1515,16 @@ mod tests {
                 got: 1
             })
         );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                server.submit(PlanId(0), vec![bad, 0.5]).err(),
+                Some(SubmitError::NonFiniteInput)
+            );
+            assert_eq!(
+                server.query(PlanId(0), &[0.5, bad]),
+                Err(SubmitError::NonFiniteInput)
+            );
+        }
         assert_eq!(server.input_dim(PlanId(9)), None);
         assert!(server.stats(PlanId(9)).is_none());
         assert!(server.is_quarantined(PlanId(9)).is_none());
@@ -1526,6 +1574,71 @@ mod tests {
         assert_eq!(stats.rows_requeued, 0);
         assert_eq!(stats.requests_shed, 0);
         assert_eq!(stats.plans_quarantined, 0);
+        server.shutdown();
+    }
+
+    /// The flush wait is evidence-driven: a lone closed-loop caller stops
+    /// paying `max_wait` after the fresh worker's one unrewarded wait,
+    /// and a later burst from one thread still coalesces.
+    #[test]
+    fn lone_queries_skip_the_wait_and_bursts_still_coalesce() {
+        let reg = test_registry();
+        let server = CertServer::start(
+            &reg,
+            ServeConfig {
+                max_wait: Duration::from_secs(2),
+                ..ServeConfig::default()
+            },
+        );
+        let plan = reg.get(PlanId(0)).unwrap();
+        let mut ws = BatchWorkspace::default();
+        let mut check = |x: &[f64], served: f64| {
+            assert_eq!(
+                served.to_bits(),
+                plan.eval_singleton(x, &mut ws).to_bits(),
+                "served value for {x:?} is not the singleton value"
+            );
+        };
+
+        // The first query meets a fresh worker, which waits (and gains
+        // nothing: its caller is blocked on this answer).
+        let x = [0.5, 0.25];
+        check(&x, server.query(PlanId(0), &x).unwrap());
+        let t0 = Instant::now();
+        for i in 0..20 {
+            let x = [i as f64 / 20.0, -0.75];
+            check(&x, server.query(PlanId(0), &x).unwrap());
+        }
+        let lone = t0.elapsed();
+        assert!(
+            lone < Duration::from_millis(500),
+            "20 lone queries took {lone:?} against a 2 s max_wait"
+        );
+        let s = server.stats(PlanId(0)).unwrap();
+        assert!(s.waits <= 1, "lone queries waited {} times", s.waits);
+        assert_eq!(s.waits + s.waits_skipped, 21, "every lone flush is short");
+        assert_eq!(s.flushes, 21);
+
+        // A 16-row burst from one thread: rows find the queue non-empty
+        // (or the drain takes several), so the worker waits and coalesces.
+        let xs: Vec<[f64; 2]> = (0..16).map(|i| [0.1 * i as f64, 0.3]).collect();
+        let handles: Vec<_> = xs
+            .iter()
+            .map(|x| server.submit(PlanId(0), x.to_vec()).unwrap())
+            .collect();
+        let mut multi_row = false;
+        for (x, h) in xs.iter().zip(handles) {
+            let resp = h.wait_response().unwrap();
+            check(x, resp.value);
+            multi_row |= resp.batch_rows > 1;
+        }
+        let b = server.stats(PlanId(0)).unwrap();
+        let flushes = b.flushes - s.flushes;
+        assert!(flushes < 16, "a 16-row burst took {flushes} flushes");
+        assert!(
+            b.wait_rows > s.wait_rows || multi_row,
+            "the burst neither gained rows by waiting nor drained several"
+        );
         server.shutdown();
     }
 

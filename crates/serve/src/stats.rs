@@ -61,6 +61,10 @@ pub(crate) struct ShardStats {
     hist: [AtomicU64; BATCH_BUCKETS],
     max_queue_depth: AtomicUsize,
     latencies: Mutex<Reservoir>,
+    // Flush-wait policy counters.
+    waits: AtomicU64,
+    waits_skipped: AtomicU64,
+    wait_rows: AtomicU64,
     // Recovery and lifecycle counters (PR 7).
     worker_restarts: AtomicU64,
     rows_requeued: AtomicU64,
@@ -148,6 +152,18 @@ impl ShardStats {
     /// A flush published its freshly computed checkpoint to the store.
     pub(crate) fn on_store_publish(&self) {
         self.store_publishes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A short batch waited out `max_wait` and gained `rows` rows by it.
+    pub(crate) fn on_wait(&self, rows: usize) {
+        self.waits.fetch_add(1, Ordering::Relaxed);
+        self.wait_rows.fetch_add(rows as u64, Ordering::Relaxed);
+    }
+
+    /// A short batch flushed at once: nothing suggested waiting would
+    /// gain a row.
+    pub(crate) fn on_wait_skipped(&self) {
+        self.waits_skipped.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Fold one flush's measured per-row compute cost into the EWMA
@@ -245,6 +261,9 @@ impl ShardStats {
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             p50_latency: quantile(0.50),
             p99_latency: quantile(0.99),
+            waits: self.waits.load(Ordering::Relaxed),
+            waits_skipped: self.waits_skipped.load(Ordering::Relaxed),
+            wait_rows: self.wait_rows.load(Ordering::Relaxed),
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
             rows_requeued: self.rows_requeued.load(Ordering::Relaxed),
             requests_shed: self.requests_shed.load(Ordering::Relaxed),
@@ -304,6 +323,20 @@ pub struct ServeStats {
     pub p50_latency: Duration,
     /// 99th-percentile submit→response latency over the reservoir.
     pub p99_latency: Duration,
+    /// Short batches that waited out
+    /// [`max_wait`](crate::ServeConfig::max_wait) for more rows. A batch
+    /// is *short* when the greedy drain left it below `max_batch`; with
+    /// `max_wait = ZERO` no batch is counted here or in
+    /// [`waits_skipped`](Self::waits_skipped).
+    pub waits: u64,
+    /// Short batches flushed at once because nothing suggested the wait
+    /// would gain a row (the queue was empty when the worker came back,
+    /// the drain took only the first row, and the worker's previous wait
+    /// gained nothing) — a lone closed-loop caller's queries.
+    pub waits_skipped: u64,
+    /// Rows those [`waits`](Self::waits) gained: rows that arrived during
+    /// a wait and rode in its flush.
+    pub wait_rows: u64,
     /// Panicked workers the shard supervisor respawned. 0 in a healthy
     /// run — worker panics are unreachable through the public API without
     /// the `failpoints` feature.
@@ -377,6 +410,9 @@ mod tests {
         s.on_reject();
         s.on_flush(2, &[1_000, 3_000], 4, false, 0);
         s.on_flush(1, &[2_000], 3, true, 6);
+        s.on_wait(3);
+        s.on_wait(0);
+        s.on_wait_skipped();
         let snap = s.snapshot(7);
         assert_eq!(snap.requests, 2);
         assert_eq!(snap.rejected, 1);
@@ -392,6 +428,7 @@ mod tests {
         assert_eq!(snap.max_queue_depth, 5);
         assert_eq!(snap.p50_latency, Duration::from_nanos(2_000));
         assert_eq!(snap.p99_latency, Duration::from_nanos(3_000));
+        assert_eq!((snap.waits, snap.waits_skipped, snap.wait_rows), (2, 1, 3));
     }
 
     #[test]

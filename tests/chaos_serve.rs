@@ -54,11 +54,10 @@ fn quiet_chaos_panics() {
     });
 }
 
-/// A fixed 2-layer net with two registered plans (crash at layer 0 and at
-/// layer 1) sharing it — small enough that chaos runs are fast, deep
+/// A fixed 2-layer net — small enough that chaos runs are fast, deep
 /// enough that suffix resumption and streaming checkpoints are exercised.
-fn chaos_registry() -> PlanRegistry {
-    let net = Arc::new(Mlp::new(
+fn chaos_net() -> Arc<Mlp> {
+    Arc::new(Mlp::new(
         vec![
             Layer::Dense(DenseLayer::new(
                 Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 0.5, -0.5]),
@@ -73,7 +72,12 @@ fn chaos_registry() -> PlanRegistry {
         ],
         vec![1.0, 2.0],
         0.0,
-    ));
+    ))
+}
+
+/// Two plans sharing [`chaos_net`]: a crash at layer 0 and one at layer 1.
+fn chaos_registry() -> PlanRegistry {
+    let net = chaos_net();
     let mut reg = PlanRegistry::new();
     reg.register(Arc::clone(&net), &InjectionPlan::crash([(0, 1)]), 1.0)
         .unwrap();
@@ -297,7 +301,12 @@ fn poison_plan_is_quarantined_and_the_shard_survives() {
 #[test]
 fn streaming_worker_killed_between_chunks_rebuilds_bitwise() {
     quiet_chaos_panics();
-    let reg = chaos_registry();
+    // One plan, so one shard worker: `serve::recv` hit 0 is its startup
+    // and hit 1 its return after the first flush. (With a second shard,
+    // hit 1 is usually the other worker's startup.)
+    let mut reg = PlanRegistry::new();
+    reg.register(chaos_net(), &InjectionPlan::crash([(0, 1)]), 1.0)
+        .unwrap();
     let cfg = ServeConfig {
         max_batch: 4,
         max_wait: Duration::from_millis(500),

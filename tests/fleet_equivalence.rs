@@ -11,9 +11,13 @@
 //!   and campaign shards are in flight) changes *nothing* about the
 //!   answers: unanswered rows requeue to the respawned process, no
 //!   request is lost or double-answered, and every surviving worker's
-//!   request log replay-verifies bitwise.
+//!   request log replay-verifies bitwise;
+//! * a worker replays its log for an audit off its frame loop, so an
+//!   audit lasting many heartbeats neither gets it killed nor comes back
+//!   incomplete.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use neurofail::data::rng::rng;
 use neurofail::fleet::{reexec_spawner, FleetConfig, FleetError, FleetRouter, WorkerSpawner};
@@ -23,7 +27,7 @@ use neurofail::inject::{
 };
 use neurofail::nn::activation::Activation;
 use neurofail::nn::builder::MlpBuilder;
-use neurofail::nn::Mlp;
+use neurofail::nn::{BatchWorkspace, Mlp};
 use neurofail::par::Parallelism;
 use neurofail::serve::{CertServer, ServeConfig};
 use neurofail::tensor::init::Init;
@@ -272,6 +276,12 @@ fn mid_run_membership_change_preserves_every_answer() {
         }) => {}
         other => panic!("expected DimensionMismatch, got {other:?}"),
     }
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(
+            fleet.query(ids[0], &[0.1, bad, 0.3]),
+            Err(FleetError::NonFiniteInput)
+        );
+    }
     match fleet.query(neurofail::fleet::FleetPlanId(999), &[0.1, 0.2, 0.3]) {
         Err(FleetError::UnknownPlan) => {}
         other => panic!("expected UnknownPlan, got {other:?}"),
@@ -289,4 +299,68 @@ fn mid_run_membership_change_preserves_every_answer() {
         "surviving logs replay bitwise after the kill"
     );
     fleet.shutdown();
+}
+
+/// A worker replays its request log off its frame loop: an audit that
+/// takes many heartbeats still comes back clean and complete, with the
+/// worker answering pings throughout instead of being heartbeat-killed.
+#[test]
+fn long_audit_does_not_starve_heartbeats() {
+    let net = Arc::new(build_net(0xA0D1, 3, 192));
+    let plans = plan_family(&net, 0xA0D1);
+    let cfg = FleetConfig {
+        heartbeat: Duration::from_millis(25),
+        max_missed_pings: 3,
+        ..FleetConfig::default()
+    };
+    let patience = cfg.heartbeat * (cfg.max_missed_pings + 1);
+
+    // Size the log so its replay lasts about eight patiences on this
+    // build and host: the worker is this binary, so one in-process
+    // singleton evaluation costs what one replayed entry does.
+    let mut registry = PlanRegistry::new();
+    let probe = registry.register(Arc::clone(&net), &plans[1], 1.0).unwrap();
+    let probe = registry.get(probe).unwrap();
+    let mut ws = BatchWorkspace::default();
+    let t0 = Instant::now();
+    for i in 0..32 {
+        probe.eval_singleton(&[0.03 * i as f64, 0.2, -0.4], &mut ws);
+    }
+    let per_entry = t0.elapsed().as_secs_f64() / 32.0;
+    let n = ((8.0 * patience.as_secs_f64() / per_entry).ceil() as usize).clamp(64, 50_000);
+
+    let fleet = FleetRouter::start(cfg, 1, spawner()).unwrap();
+    let ids: Vec<_> = plans
+        .iter()
+        .map(|p| fleet.register(&net, p, 1.0).unwrap())
+        .collect();
+    let mix = request_mix(0xA0D1, n, plans.len());
+    // Waves well under the worker's queue capacity, so its frame loop
+    // never blocks on backpressure.
+    for wave in mix.chunks(256) {
+        let handles: Vec<_> = wave
+            .iter()
+            .map(|(p, input)| fleet.submit(ids[*p], input.clone()))
+            .collect();
+        for h in handles {
+            h.wait().expect("served");
+        }
+    }
+
+    let t0 = Instant::now();
+    let audit = fleet.audit();
+    let took = t0.elapsed();
+    let stats = fleet.stats();
+    fleet.shutdown();
+    assert_eq!(stats.heartbeat_kills, 0, "the audit starved the heartbeat");
+    assert!(
+        matches!(audit.workers[..], [Some(_)]),
+        "the worker died during its audit: {audit:?}"
+    );
+    assert!(audit.clean(), "the log replays bitwise: {audit:?}");
+    assert_eq!(audit.entries(), n as u64);
+    assert!(
+        took > patience,
+        "the audit of {n} entries ({took:?}) must outlast the heartbeat patience ({patience:?})"
+    );
 }

@@ -401,3 +401,74 @@ fn live_worker_treats_midframe_close_as_truncation() {
         "truncation must not panic the worker:\n{stderr}"
     );
 }
+
+/// A query whose input holds a NaN or an infinity is refused by the
+/// worker with the typed `NON_FINITE_INPUT` code — never answered with a
+/// number — and the connection stays healthy for finite traffic.
+#[test]
+fn live_worker_refuses_non_finite_inputs_typed() {
+    use neurofail::fleet::proto::{code, plan_to_bytes};
+    use neurofail::nn::activation::Activation;
+    use neurofail::nn::builder::MlpBuilder;
+    use neurofail::tensor::init::Init;
+
+    let listener = FleetListener::bind(Transport::Unix).expect("bind");
+    let mut child = spawn_live_worker(&listener.addr());
+    let mut conn = listener.accept().expect("worker dials in");
+    match read_message(&mut conn).expect("hello") {
+        Message::Hello { worker: 0, gen: 0 } => {}
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    let net = MlpBuilder::new(2)
+        .dense(4, Activation::Sigmoid { k: 1.0 })
+        .init(Init::Uniform { a: 0.7 })
+        .build(&mut neurofail::data::rng::rng(3));
+    write_message(
+        &mut conn,
+        &Message::Register {
+            plan: 0,
+            net: neurofail::nn::net_to_bytes(&net),
+            plan_bytes: plan_to_bytes(&InjectionPlan::crash([(0, 1)])),
+            capacity: 1.0,
+        },
+    )
+    .unwrap();
+    match read_message(&mut conn).expect("registered") {
+        Message::Registered { plan: 0 } => {}
+        other => panic!("expected Registered, got {other:?}"),
+    }
+    let inputs = [
+        vec![f64::NAN, 0.5],
+        vec![0.5, f64::INFINITY],
+        vec![f64::NEG_INFINITY, 0.5],
+        vec![0.25, 0.5],
+    ];
+    for (seq, input) in inputs.into_iter().enumerate() {
+        let finite = input.iter().all(|v| v.is_finite());
+        let seq = seq as u64;
+        write_message(
+            &mut conn,
+            &Message::Query {
+                seq,
+                plan: 0,
+                input,
+            },
+        )
+        .unwrap();
+        match read_message(&mut conn).expect("reply") {
+            Message::Refused {
+                seq: s, code: c, ..
+            } if !finite => {
+                assert_eq!((s, c), (seq, code::NON_FINITE_INPUT));
+            }
+            Message::Answer { seq: s, value } if finite => {
+                assert_eq!(s, seq);
+                assert!(value.is_finite());
+            }
+            other => panic!("query {seq} (finite: {finite}) got {other:?}"),
+        }
+    }
+    write_message(&mut conn, &Message::Shutdown).unwrap();
+    let status = wait_with_deadline(&mut child);
+    assert_eq!(status.code(), Some(0), "shutdown is graceful");
+}

@@ -27,13 +27,17 @@ use neurofail_inject::{
     plan::{NeuronFault, NeuronSite, SynapseFault, SynapseSite, SynapseTarget},
     ByzantineStrategy, CampaignConfig, InjectionPlan, TrialKind, WorstCase,
 };
+use neurofail_serve::ServeConfig;
 use neurofail_tensor::{checksum64, ByteReader, ByteWriter, DecodeError, OnlineStats};
 
 /// Frame magic: `"NFFLEET1"` as a little-endian word.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"NFFLEET1");
 /// Protocol version; a frame carrying any other value is rejected with
 /// [`ProtocolError::Version`] (stale workers cannot silently interoperate).
-pub const PROTO_VERSION: u64 = 1;
+/// Version 2 carries `coalesce_plans`, `shed_budget` and
+/// `default_deadline` in [`Message::Configure`] and the answer-write
+/// counters in [`Message::StatsReply`].
+pub const PROTO_VERSION: u64 = 2;
 /// Hard ceiling on a frame's payload, bounding what a corrupt or hostile
 /// length prefix can make the receiver allocate.
 pub const MAX_PAYLOAD: u64 = 1 << 26;
@@ -140,6 +144,19 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> io::Result<()> {
     let (kind, payload) = msg.encode();
     w.write_all(&encode_frame(kind, &payload))
 }
+
+/// Append one message's frame to an output buffer, for a caller that
+/// writes several frames with one `write_all`. The bytes are exactly
+/// what [`write_message`] writes.
+pub fn append_message(out: &mut Vec<u8>, msg: &Message) {
+    let (kind, payload) = msg.encode();
+    out.extend_from_slice(&encode_frame(kind, &payload));
+}
+
+/// Capacity of the buffered frame reader on each end of a connection,
+/// and the size at which a worker's coalesced answers are written even
+/// while more are ready.
+pub(crate) const BATCH_BYTES: usize = 64 << 10;
 
 fn read_exact_or(
     r: &mut impl Read,
@@ -260,6 +277,11 @@ pub mod code {
 
 /// The serving knobs a worker's embedded `CertServer` is configured with,
 /// sent once per connection in [`Message::Configure`].
+///
+/// Every [`ServeConfig`] field crosses the wire except
+/// [`workers`](ServeConfig::workers): a worker's embedded server always
+/// runs its default thread policy, since a fleet's parallelism comes
+/// from its processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireServeConfig {
     /// [`neurofail_serve::ServeConfig::max_batch`].
@@ -274,6 +296,54 @@ pub struct WireServeConfig {
     pub streaming_ingest: bool,
     /// [`neurofail_serve::ServeConfig::max_plan_strikes`].
     pub max_plan_strikes: u64,
+    /// [`neurofail_serve::ServeConfig::coalesce_plans`].
+    pub coalesce_plans: bool,
+    /// [`neurofail_serve::ServeConfig::shed_budget`] in nanoseconds.
+    pub shed_budget_nanos: Option<u64>,
+    /// [`neurofail_serve::ServeConfig::default_deadline`] in nanoseconds.
+    pub default_deadline_nanos: Option<u64>,
+}
+
+impl From<&ServeConfig> for WireServeConfig {
+    fn from(c: &ServeConfig) -> Self {
+        WireServeConfig {
+            max_batch: c.max_batch as u64,
+            max_wait_nanos: nanos(c.max_wait),
+            queue_capacity: c.queue_capacity as u64,
+            record_log: c.record_log,
+            streaming_ingest: c.streaming_ingest,
+            max_plan_strikes: u64::from(c.max_plan_strikes),
+            coalesce_plans: c.coalesce_plans,
+            shed_budget_nanos: c.shed_budget.map(nanos),
+            default_deadline_nanos: c.default_deadline.map(nanos),
+        }
+    }
+}
+
+impl WireServeConfig {
+    /// The [`ServeConfig`] a worker's embedded server runs under:
+    /// every carried field, and the default for
+    /// [`workers`](ServeConfig::workers).
+    pub fn to_serve(&self) -> ServeConfig {
+        ServeConfig {
+            max_batch: self.max_batch as usize,
+            max_wait: Duration::from_nanos(self.max_wait_nanos),
+            queue_capacity: self.queue_capacity as usize,
+            record_log: self.record_log,
+            streaming_ingest: self.streaming_ingest,
+            max_plan_strikes: u32::try_from(self.max_plan_strikes).unwrap_or(u32::MAX),
+            coalesce_plans: self.coalesce_plans,
+            shed_budget: self.shed_budget_nanos.map(Duration::from_nanos),
+            default_deadline: self.default_deadline_nanos.map(Duration::from_nanos),
+            ..ServeConfig::default()
+        }
+    }
+}
+
+/// A duration in whole nanoseconds, saturating at `u64::MAX` (~584
+/// years).
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// One trial's result in transport form: the raw
@@ -316,6 +386,11 @@ pub struct WireWorkerStats {
     /// Times this process rebuilt its embedded server (late plan
     /// registrations).
     pub server_rebuilds: u64,
+    /// `Answer`/`Refused` frames the answer pump wrote.
+    pub answer_frames: u64,
+    /// Socket writes that carried them: below `answer_frames` when
+    /// answers that were already resolved went out together.
+    pub answer_writes: u64,
 }
 
 /// Every frame the protocol speaks.
@@ -461,6 +536,9 @@ impl Message {
                 w.put_u64(cfg.record_log as u64);
                 w.put_u64(cfg.streaming_ingest as u64);
                 w.put_u64(cfg.max_plan_strikes);
+                w.put_u64(cfg.coalesce_plans as u64);
+                put_opt(&mut w, cfg.shed_budget_nanos);
+                put_opt(&mut w, cfg.default_deadline_nanos);
                 K_CONFIGURE
             }
             Message::Register {
@@ -576,6 +654,8 @@ impl Message {
                     s.serve_rows_requeued,
                     s.plans_quarantined,
                     s.server_rebuilds,
+                    s.answer_frames,
+                    s.answer_writes,
                 ] {
                     w.put_u64(v);
                 }
@@ -603,14 +683,25 @@ impl Message {
                 worker: r.get_u64()?,
                 gen: r.get_u64()?,
             },
-            K_CONFIGURE => Message::Configure(WireServeConfig {
-                max_batch: r.get_u64()?,
-                max_wait_nanos: r.get_u64()?,
-                queue_capacity: r.get_u64()?,
-                record_log: get_bool(&mut r)?,
-                streaming_ingest: get_bool(&mut r)?,
-                max_plan_strikes: r.get_u64()?,
-            }),
+            K_CONFIGURE => {
+                let cfg = WireServeConfig {
+                    max_batch: r.get_u64()?,
+                    max_wait_nanos: r.get_u64()?,
+                    queue_capacity: r.get_u64()?,
+                    record_log: get_bool(&mut r)?,
+                    streaming_ingest: get_bool(&mut r)?,
+                    max_plan_strikes: r.get_u64()?,
+                    coalesce_plans: get_bool(&mut r)?,
+                    shed_budget_nanos: get_opt(&mut r)?,
+                    default_deadline_nanos: get_opt(&mut r)?,
+                };
+                // The embedded server refuses to start on these; a typed
+                // rejection here keeps the worker from panicking on them.
+                if cfg.max_batch == 0 || cfg.queue_capacity == 0 {
+                    return Err(ProtocolError::Malformed("zero max_batch or queue_capacity"));
+                }
+                Message::Configure(cfg)
+            }
             K_REGISTER => Message::Register {
                 plan: r.get_u64()?,
                 net: r.get_bytes()?.to_vec(),
@@ -711,7 +802,7 @@ impl Message {
                 nonce: r.get_u64()?,
             },
             K_STATS_REPLY => {
-                let mut vals = [0u64; 11];
+                let mut vals = [0u64; 13];
                 for v in &mut vals {
                     *v = r.get_u64()?;
                 }
@@ -727,6 +818,8 @@ impl Message {
                     serve_rows_requeued: vals[8],
                     plans_quarantined: vals[9],
                     server_rebuilds: vals[10],
+                    answer_frames: vals[11],
+                    answer_writes: vals[12],
                 })
             }
             K_AUDIT_REPLY => Message::AuditReply {
@@ -748,6 +841,21 @@ fn get_bool(r: &mut ByteReader<'_>) -> Result<bool, ProtocolError> {
         0 => Ok(false),
         1 => Ok(true),
         _ => Err(ProtocolError::Malformed("bad bool word")),
+    }
+}
+
+/// An optional word as two words: a presence flag, then the value (0
+/// when absent, so every option has exactly one encoding).
+fn put_opt(w: &mut ByteWriter, v: Option<u64>) {
+    w.put_u64(v.is_some() as u64);
+    w.put_u64(v.unwrap_or(0));
+}
+
+fn get_opt(r: &mut ByteReader<'_>) -> Result<Option<u64>, ProtocolError> {
+    match (get_bool(r)?, r.get_u64()?) {
+        (true, v) => Ok(Some(v)),
+        (false, 0) => Ok(None),
+        (false, _) => Err(ProtocolError::Malformed("absent option carries a value")),
     }
 }
 
@@ -938,6 +1046,20 @@ mod tests {
                 record_log: true,
                 streaming_ingest: false,
                 max_plan_strikes: 3,
+                coalesce_plans: false,
+                shed_budget_nanos: None,
+                default_deadline_nanos: None,
+            }),
+            Message::Configure(WireServeConfig {
+                max_batch: 8,
+                max_wait_nanos: 0,
+                queue_capacity: 4,
+                record_log: false,
+                streaming_ingest: true,
+                max_plan_strikes: 1,
+                coalesce_plans: true,
+                shed_budget_nanos: Some(0),
+                default_deadline_nanos: Some(2_500_000),
             }),
             Message::Register {
                 plan: 7,
@@ -1002,6 +1124,8 @@ mod tests {
                 requests: 10,
                 rows_served: 10,
                 store_hits: 2,
+                answer_frames: 10,
+                answer_writes: 3,
                 ..WireWorkerStats::default()
             }),
             Message::AuditReply {
@@ -1056,7 +1180,10 @@ mod tests {
         stale[8..16].copy_from_slice(&99u64.to_le_bytes());
         assert_eq!(
             read_frame(&mut &stale[..]),
-            Err(ProtocolError::Version { got: 99, want: 1 })
+            Err(ProtocolError::Version {
+                got: 99,
+                want: PROTO_VERSION
+            })
         );
 
         let mut unknown = good.clone();
@@ -1121,5 +1248,63 @@ mod tests {
         let mut huge = ByteWriter::new();
         huge.put_u64(u64::MAX); // absurd neuron count vs bytes present
         assert!(plan_from_bytes(&huge.into_bytes()).is_err());
+    }
+
+    #[test]
+    fn serve_config_crosses_the_wire_except_workers() {
+        let cfg = ServeConfig {
+            max_batch: 17,
+            max_wait: Duration::from_micros(250),
+            queue_capacity: 9,
+            workers: neurofail_par::Parallelism::Threads(3),
+            record_log: true,
+            coalesce_plans: true,
+            streaming_ingest: true,
+            shed_budget: Some(Duration::from_millis(4)),
+            default_deadline: Some(Duration::from_secs(2)),
+            max_plan_strikes: 5,
+        };
+        let wire = WireServeConfig::from(&cfg);
+        let (kind, payload) = Message::Configure(wire).encode();
+        let Ok(Message::Configure(back)) = Message::decode(kind, &payload) else {
+            panic!("Configure must decode");
+        };
+        assert_eq!(
+            back.to_serve(),
+            ServeConfig {
+                workers: ServeConfig::default().workers,
+                ..cfg
+            }
+        );
+    }
+
+    #[test]
+    fn configure_rejects_non_canonical_options_and_zero_capacities() {
+        let good = WireServeConfig::from(&ServeConfig::default());
+        let (kind, payload) = Message::Configure(good).encode();
+        // Word 7 is the shed budget's presence flag, word 8 its value:
+        // absent with a nonzero value has no meaning.
+        let mut lying = payload.clone();
+        lying[8 * 8..9 * 8].copy_from_slice(&5u64.to_le_bytes());
+        assert_eq!(
+            Message::decode(kind, &lying),
+            Err(ProtocolError::Malformed("absent option carries a value"))
+        );
+        for zero in [
+            WireServeConfig {
+                max_batch: 0,
+                ..good
+            },
+            WireServeConfig {
+                queue_capacity: 0,
+                ..good
+            },
+        ] {
+            let (kind, payload) = Message::Configure(zero).encode();
+            assert!(matches!(
+                Message::decode(kind, &payload),
+                Err(ProtocolError::Malformed(_))
+            ));
+        }
     }
 }

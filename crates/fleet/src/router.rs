@@ -29,9 +29,19 @@
 //!   records come back tagged with their trial index, so the merge is in
 //!   trial order no matter the arrival order, reproducing a single
 //!   `run_campaign` bit for bit (ARCHITECTURE contract 15).
+//! * **Batched socket I/O** — the supervisor buffers each connection's
+//!   outgoing frames while it handles the events already queued, then
+//!   writes each buffer with one `write_all`; each reader thread reads
+//!   through a 64 KiB buffer. Nothing waits to build a batch, and
+//!   [`FleetStats::frames_sent`] / [`FleetStats::socket_writes`] show
+//!   how much coalescing happened.
+//! * **Worker backpressure** — a worker whose serving queue is full
+//!   refuses the query with a `retry_after` hint instead of blocking its
+//!   frame loop; the router keeps the row and re-sends it after the
+//!   hint, so callers never see [`FleetError::Busy`] for it.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::io::{self, BufReader, Write};
 use std::path::PathBuf;
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,8 +56,8 @@ use neurofail_nn::{net_to_bytes, Mlp};
 use neurofail_serve::ServeConfig;
 
 use crate::proto::{
-    code, read_message, retry_after, trial_to_result, write_message, Message, ProtocolError,
-    WireServeConfig, WireWorkerStats,
+    append_message, code, read_message, retry_after, trial_to_result, Message, ProtocolError,
+    WireServeConfig, WireWorkerStats, BATCH_BYTES,
 };
 use crate::transport::{FleetListener, FleetStream, Transport};
 use crate::worker::{ENV_ADDR, ENV_CHAOS, ENV_GEN, ENV_STORE, ENV_WORKER};
@@ -222,6 +232,14 @@ pub struct FleetStats {
     pub protocol_errors: u64,
     /// Plans registered with the fleet.
     pub plans: u64,
+    /// Frames the router queued for workers.
+    pub frames_sent: u64,
+    /// Socket writes that carried them: below `frames_sent` when frames
+    /// for the same worker went out together.
+    pub socket_writes: u64,
+    /// Queries a worker refused for a full serving queue, re-sent after
+    /// its `retry_after` hint.
+    pub queue_full_retries: u64,
     /// Per-slot worker self-reports from the latest collection.
     pub workers: Vec<Option<WireWorkerStats>>,
 }
@@ -399,6 +417,8 @@ enum Cmd {
 struct Conn {
     writer: FleetStream,
     gen: u64,
+    /// Frames queued by `send_to`, written by `flush_writes`.
+    out: Vec<u8>,
 }
 
 struct Pend {
@@ -502,8 +522,19 @@ struct Supervisor {
     stats: FleetStats,
     stats_pending: Option<Collect<FleetStats>>,
     audit_pending: Option<Collect<FleetAudit>>,
+    /// Queries refused for a full worker queue, keyed by (due, seq): the
+    /// slot to re-send each to once its `retry_after` hint has passed.
+    retries: BTreeMap<(Instant, u64), (usize, Pend)>,
     shutting_down: bool,
 }
+
+/// Events handled before the supervisor writes its buffered frames: the
+/// one it woke for plus at most this many minus one already queued.
+const EVENT_BATCH: usize = 64;
+
+/// Shortest wait before a query refused for a full worker queue is
+/// re-sent, for a worker that has no drain estimate yet.
+const MIN_RETRY: Duration = Duration::from_micros(50);
 
 impl Supervisor {
     fn launch(&mut self, i: usize) {
@@ -541,20 +572,40 @@ impl Supervisor {
         }
     }
 
-    /// Write a frame to worker `i`; a failed write is a connection loss.
+    /// Queue a frame for worker `i`: it joins the connection's output
+    /// buffer, which [`flush_writes`](Self::flush_writes) writes once the
+    /// current batch of events is handled. False when the slot has no
+    /// connection. A write that fails is a connection loss, found by the
+    /// flush.
     fn send_to(&mut self, i: usize, msg: &Message) -> bool {
-        let lost = {
-            let Some(conn) = self.workers[i].conn.as_mut() else {
-                return false;
-            };
-            neurofail_par::failpoint!("fleet::send");
-            write_message(&mut conn.writer, msg).is_err()
-        };
-        if lost {
-            self.conn_lost(i);
+        let Some(conn) = self.workers[i].conn.as_mut() else {
             return false;
-        }
+        };
+        neurofail_par::failpoint!("fleet::send");
+        append_message(&mut conn.out, msg);
+        self.stats.frames_sent += 1;
         true
+    }
+
+    /// Write each connection's buffered frames with one `write_all`. A
+    /// failed write is a connection loss, whose `conn_lost` may reroute
+    /// the dead worker's pends into a sibling's buffer, so this repeats
+    /// until no connection holds unsent bytes. Every loss removes a
+    /// connection, so it ends.
+    fn flush_writes(&mut self) {
+        while let Some(i) = self
+            .workers
+            .iter()
+            .position(|w| w.conn.as_ref().is_some_and(|c| !c.out.is_empty()))
+        {
+            let conn = self.workers[i].conn.as_mut().expect("found above");
+            self.stats.socket_writes += 1;
+            let failed = conn.writer.write_all(&conn.out).is_err();
+            conn.out.clear();
+            if failed {
+                self.conn_lost(i);
+            }
+        }
     }
 
     fn ensure_registered(&mut self, i: usize, plan: u64) -> bool {
@@ -591,8 +642,9 @@ impl Supervisor {
         }
     }
 
-    /// Route a pend to worker `i`: into the in-flight table *before* the
-    /// write, so a failed write requeues it like any other in-flight row.
+    /// Route a pend to worker `i`: into the in-flight table *before* its
+    /// frame is written, so a failed write requeues it like any other
+    /// in-flight row.
     fn dispatch(&mut self, i: usize, pend: Pend) {
         if self.workers[i].quarantined {
             return self.enqueue_or_reroute(i, pend);
@@ -649,7 +701,9 @@ impl Supervisor {
         self.send_to(i, &msg);
     }
 
-    fn flush(&mut self, i: usize) {
+    /// Dispatch the work that queued on slot `i` while it had no
+    /// connection.
+    fn dispatch_queued(&mut self, i: usize) {
         while self.workers[i].conn.is_some() {
             let Some(pend) = self.workers[i].queued.pop_front() else {
                 break;
@@ -770,14 +824,19 @@ impl Supervisor {
             let _ = stream.shutdown();
             return;
         };
-        self.workers[i].conn = Some(Conn { writer, gen });
+        self.workers[i].conn = Some(Conn {
+            writer,
+            gen,
+            out: Vec::new(),
+        });
         self.workers[i].last_heard = Instant::now();
         self.workers[i].missed_pings = 0;
         self.workers[i].registered.clear();
 
-        // Per-connection reader: frames in, EOF/garbage out as Down.
+        // Per-connection reader: frames in, EOF/garbage out as Down. The
+        // buffer takes a burst of pipelined answers in one read.
         let tx = self.tx.clone();
-        let mut reader = stream;
+        let mut reader = BufReader::with_capacity(BATCH_BYTES, stream);
         std::thread::spawn(move || loop {
             match read_message(&mut reader) {
                 Ok(msg) => {
@@ -800,15 +859,11 @@ impl Supervisor {
         });
 
         let wire = WireServeConfig {
-            max_batch: self.cfg.serve.max_batch as u64,
-            max_wait_nanos: self.cfg.serve.max_wait.as_nanos() as u64,
-            queue_capacity: self.cfg.serve.queue_capacity as u64,
             record_log: true,
-            streaming_ingest: self.cfg.serve.streaming_ingest,
-            max_plan_strikes: self.cfg.serve.max_plan_strikes as u64,
+            ..WireServeConfig::from(&self.cfg.serve)
         };
         if self.send_to(i, &Message::Configure(wire)) {
-            self.flush(i);
+            self.dispatch_queued(i);
         }
     }
 
@@ -832,7 +887,17 @@ impl Supervisor {
                 code: c,
                 retry_after_nanos,
             } => {
-                if let Some(pend) = self.workers[i].in_flight.remove(&seq) {
+                let Some(pend) = self.workers[i].in_flight.remove(&seq) else {
+                    return;
+                };
+                if c == code::QUEUE_FULL {
+                    // Worker-side queue pressure is backpressure, as it
+                    // is in a single process: keep the row and re-send
+                    // it once the worker's drain hint has passed.
+                    let wait = Duration::from_nanos(retry_after_nanos).max(MIN_RETRY);
+                    self.stats.queue_full_retries += 1;
+                    self.retries.insert((Instant::now() + wait, seq), (i, pend));
+                } else {
                     pend.slot.fill(Err(refusal(c, retry_after_nanos)));
                 }
             }
@@ -1111,6 +1176,9 @@ impl Supervisor {
                 for job in std::mem::take(&mut self.jobs) {
                     job.1.slot.fill(Err(FleetError::ShuttingDown));
                 }
+                for (_, p) in std::mem::take(&mut self.retries).into_values() {
+                    p.slot.fill(Err(FleetError::ShuttingDown));
+                }
                 for i in 0..self.workers.len() {
                     for (_, p) in self.workers[i].in_flight.drain() {
                         p.slot.fill(Err(FleetError::ShuttingDown));
@@ -1120,6 +1188,7 @@ impl Supervisor {
                     }
                     self.send_to(i, &Message::Shutdown);
                 }
+                self.flush_writes();
                 let deadline = Instant::now() + Duration::from_secs(5);
                 for i in 0..self.workers.len() {
                     if let Some(child) = self.workers[i].child.as_mut() {
@@ -1147,39 +1216,95 @@ impl Supervisor {
         }
     }
 
+    /// Handle one event; true once the fleet has shut down.
+    fn handle(&mut self, event: Event) -> bool {
+        match event {
+            Event::Cmd(cmd) => {
+                let is_shutdown = matches!(cmd, Cmd::Shutdown { .. });
+                self.on_cmd(cmd);
+                if is_shutdown {
+                    self.finish_collections(true);
+                    return true;
+                }
+            }
+            Event::Accepted {
+                worker,
+                gen,
+                stream,
+            } => self.on_accepted(worker, gen, stream),
+            Event::Frame { worker, gen, msg } => self.on_frame(worker, gen, msg),
+            Event::Down { worker, gen } => {
+                let current = matches!(
+                    self.workers[worker].conn.as_ref(),
+                    Some(conn) if conn.gen == gen
+                );
+                if current {
+                    self.conn_lost(worker);
+                }
+            }
+            Event::Noise => self.stats.protocol_errors += 1,
+        }
+        false
+    }
+
+    /// Re-send every query whose queue-full retry is due.
+    fn retry_due(&mut self) {
+        let now = Instant::now();
+        while let Some(entry) = self.retries.first_entry() {
+            if entry.key().0 > now {
+                break;
+            }
+            let (i, pend) = entry.remove();
+            self.dispatch(i, pend);
+        }
+    }
+
+    /// The supervision loop. It blocks for one event, handles it, then
+    /// handles up to [`EVENT_BATCH`]` - 1` more that are already queued,
+    /// re-sends the queue-full retries that are due, and writes every
+    /// connection's buffered frames ([`flush_writes`](Self::flush_writes)).
+    /// It never waits for an event to build a batch, so a lone query's
+    /// frame is written as soon as its event is handled. A heartbeat
+    /// tick runs once no event has arrived for a heartbeat interval.
     fn run(mut self) {
         for i in 0..self.workers.len() {
             self.launch(i);
         }
+        let mut quiet_since = Instant::now();
         loop {
-            match self.rx.recv_timeout(self.cfg.heartbeat) {
-                Ok(Event::Cmd(cmd)) => {
-                    let is_shutdown = matches!(cmd, Cmd::Shutdown { .. });
-                    self.on_cmd(cmd);
-                    if is_shutdown {
-                        self.finish_collections(true);
+            let tick_at = quiet_since + self.cfg.heartbeat;
+            let wake = self
+                .retries
+                .first_key_value()
+                .map_or(tick_at, |(&(due, _), _)| due.min(tick_at));
+            match self
+                .rx
+                .recv_timeout(wake.saturating_duration_since(Instant::now()))
+            {
+                Ok(event) => {
+                    quiet_since = Instant::now();
+                    if self.handle(event) {
                         return;
                     }
-                }
-                Ok(Event::Accepted {
-                    worker,
-                    gen,
-                    stream,
-                }) => self.on_accepted(worker, gen, stream),
-                Ok(Event::Frame { worker, gen, msg }) => self.on_frame(worker, gen, msg),
-                Ok(Event::Down { worker, gen }) => {
-                    let current = matches!(
-                        self.workers[worker].conn.as_ref(),
-                        Some(conn) if conn.gen == gen
-                    );
-                    if current {
-                        self.conn_lost(worker);
+                    for _ in 1..EVENT_BATCH {
+                        let Ok(event) = self.rx.try_recv() else {
+                            break;
+                        };
+                        if self.handle(event) {
+                            return;
+                        }
                     }
                 }
-                Ok(Event::Noise) => self.stats.protocol_errors += 1,
-                Err(mpsc::RecvTimeoutError::Timeout) => self.heartbeat_tick(),
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    if Instant::now() >= tick_at {
+                        self.heartbeat_tick();
+                        quiet_since = Instant::now();
+                    }
+                }
                 Err(mpsc::RecvTimeoutError::Disconnected) => return,
             }
+            self.retry_due();
+            self.flush_writes();
         }
     }
 }
@@ -1290,6 +1415,7 @@ impl FleetRouter {
             stats: FleetStats::default(),
             stats_pending: None,
             audit_pending: None,
+            retries: BTreeMap::new(),
             shutting_down: false,
             cfg,
         };

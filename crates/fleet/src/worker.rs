@@ -20,6 +20,19 @@
 //!   loop keeps answering pings however long they take — an audit of a
 //!   large log replayed inline would get a healthy worker
 //!   heartbeat-killed;
+//! * the frame loop never blocks on a full serving queue either: a query
+//!   the embedded server has no room for is refused with
+//!   [`code::QUEUE_FULL`] and its `retry_after` hint, and the router
+//!   re-sends it after the hint, so the caller only sees backpressure;
+//! * socket I/O is batched, and never waits to build a batch. The frame
+//!   loop reads through a 64 KiB buffer, so a pipelined burst of frames
+//!   arrives in one `read`. The answer pump encodes each answer into a
+//!   buffer and keeps appending while the next handle in its channel is
+//!   already resolved; it writes the buffer the moment the channel is
+//!   empty, the next handle is still pending, or the buffer reaches
+//!   64 KiB. A lone query's answer is therefore written at once.
+//!   [`WireWorkerStats::answer_frames`] and
+//!   [`WireWorkerStats::answer_writes`] count the frames and the writes;
 //! * answer-pump and helper threads carry an abort-on-panic guard: a
 //!   panic there (real or chaos-injected) downgrades the whole process
 //!   to a kill, which the router's supervision handles, instead of a
@@ -30,23 +43,23 @@
 //!   failpoint sites.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use neurofail_inject::{ArtifactStore, CampaignConfig, PlanRegistry, TrialKind};
 use neurofail_nn::{net_from_bytes, Mlp};
 use neurofail_par::{failpoint, Parallelism};
 use neurofail_serve::{
-    share_store, CertServer, LogEntry, RequestError, RequestLog, ServeConfig, SharedArtifactStore,
-    SubmitError,
+    share_store, CertServer, LogEntry, RequestError, RequestLog, ResponseHandle, ServeConfig,
+    SharedArtifactStore, SubmitError,
 };
 
 use crate::proto::{
-    code, plan_from_bytes, read_message, write_message, Message, ProtocolError, WireTrial,
-    WireWorkerStats,
+    append_message, code, plan_from_bytes, read_message, write_message, Message, ProtocolError,
+    WireTrial, WireWorkerStats, BATCH_BYTES,
 };
 use crate::transport::FleetStream;
 
@@ -132,7 +145,7 @@ pub fn run_worker(
                 .with_prob("fleet::answer", ChaosAction::Panic, 0.02, 1)
                 .with_prob(
                     "fleet::answer",
-                    ChaosAction::Stall(Duration::from_millis(400)),
+                    ChaosAction::Stall(std::time::Duration::from_millis(400)),
                     0.02,
                     1,
                 )
@@ -142,8 +155,8 @@ pub fn run_worker(
     #[cfg(not(feature = "failpoints"))]
     let _ = chaos_seed;
 
-    let mut reader = FleetStream::connect(addr)?;
-    let writer = Arc::new(Mutex::new(reader.try_clone()?));
+    let mut reader = BufReader::with_capacity(BATCH_BYTES, FleetStream::connect(addr)?);
+    let writer = Arc::new(Mutex::new(reader.get_ref().try_clone()?));
     send(&writer, &Message::Hello { worker, gen })?;
 
     let store: Option<SharedArtifactStore> = match store_dir {
@@ -164,15 +177,21 @@ pub fn run_worker(
         store,
         log: Vec::new(),
         acc: WireWorkerStats::default(),
+        pump: Arc::default(),
     };
 
     // The answer pump: resolves responses strictly in submission order
     // and writes them back, so the main loop never blocks on a wait.
-    let (pump_tx, pump_rx) = mpsc::channel::<(u64, neurofail_serve::ResponseHandle)>();
+    // Answers already resolved when the previous one is encoded share
+    // its write; nothing waits to build a batch.
+    let (pump_tx, pump_rx) = mpsc::channel::<(u64, ResponseHandle)>();
     let pump_writer = Arc::clone(&writer);
+    let counts = Arc::clone(&state.pump);
     let pump = std::thread::spawn(move || {
         let _guard = AbortOnPanic;
-        for (seq, handle) in pump_rx {
+        let mut out = Vec::new();
+        let mut next = None;
+        while let Some((seq, handle)) = next.take().or_else(|| pump_rx.recv().ok()) {
             failpoint!("fleet::answer");
             let msg = match handle.wait() {
                 Ok(value) => Message::Answer { seq, value },
@@ -182,9 +201,21 @@ pub fn run_worker(
                     retry_after_nanos: 0,
                 },
             };
-            if send(&pump_writer, &msg).is_err() {
+            append_message(&mut out, &msg);
+            counts.frames.fetch_add(1, Ordering::Relaxed);
+            next = pump_rx.try_recv().ok();
+            let ready = matches!(&next, Some((_, h)) if h.try_wait().is_some());
+            if ready && out.len() < BATCH_BYTES {
+                continue;
+            }
+            // Counted before the write: the router may ask for stats as
+            // soon as these answers arrive.
+            counts.writes.fetch_add(1, Ordering::Relaxed);
+            let written = pump_writer.lock().expect("writer mutex").write_all(&out);
+            if written.is_err() {
                 return; // connection gone; main loop is dying too
             }
+            out.clear();
         }
     });
 
@@ -201,22 +232,14 @@ pub fn run_worker(
                 // contract under fuzzed frames is a *typed* death — clean
                 // exit, never a panic or a hang.
                 let _ = send(&writer, &Message::Bye { code: bye_code(&e) });
-                let _ = reader.shutdown();
+                let _ = reader.get_ref().shutdown();
                 break Err(e);
             }
         };
         match msg {
             Message::Configure(wire) => {
                 state.retire_server();
-                state.cfg = ServeConfig {
-                    max_batch: wire.max_batch as usize,
-                    max_wait: Duration::from_nanos(wire.max_wait_nanos),
-                    queue_capacity: wire.queue_capacity as usize,
-                    record_log: wire.record_log,
-                    streaming_ingest: wire.streaming_ingest,
-                    max_plan_strikes: wire.max_plan_strikes as u32,
-                    ..ServeConfig::default()
-                };
+                state.cfg = wire.to_serve();
             }
             Message::Register {
                 plan,
@@ -362,6 +385,15 @@ struct WorkerState {
     log: Vec<LogEntry>,
     /// Stats accumulated across server rebuilds.
     acc: WireWorkerStats,
+    /// The answer pump's frame and write counts.
+    pump: Arc<PumpCounts>,
+}
+
+/// What the answer pump wrote, read by the frame loop's stats snapshot.
+#[derive(Default)]
+struct PumpCounts {
+    frames: AtomicU64,
+    writes: AtomicU64,
 }
 
 impl WorkerState {
@@ -403,15 +435,14 @@ impl WorkerState {
         }
     }
 
-    fn submit(
-        &mut self,
-        plan: u64,
-        input: Vec<f64>,
-    ) -> Result<neurofail_serve::ResponseHandle, (u64, u64)> {
+    /// Enqueue without blocking: a full queue comes back as
+    /// `QUEUE_FULL` with the server's drain hint, so the frame loop keeps
+    /// reading frames (pings included) under any load.
+    fn submit(&mut self, plan: u64, input: Vec<f64>) -> Result<ResponseHandle, (u64, u64)> {
         let Some(&local) = self.plan_map.get(&plan) else {
             return Err((code::UNKNOWN_PLAN, 0));
         };
-        self.server().submit(local, input).map_err(|e| match e {
+        self.server().try_submit(local, input).map_err(|e| match e {
             SubmitError::UnknownPlan(_) => (code::UNKNOWN_PLAN, 0),
             SubmitError::DimensionMismatch { .. } => (code::DIMENSION_MISMATCH, 0),
             SubmitError::NonFiniteInput => (code::NON_FINITE_INPUT, 0),
@@ -429,6 +460,8 @@ impl WorkerState {
 
     fn stats_snapshot(&mut self) -> WireWorkerStats {
         let mut out = self.acc;
+        out.answer_frames = self.pump.frames.load(Ordering::Relaxed);
+        out.answer_writes = self.pump.writes.load(Ordering::Relaxed);
         if let Some(server) = &self.server {
             let ids: Vec<_> = self.registry.iter().map(|(id, _)| id).collect();
             for id in ids {
@@ -465,7 +498,7 @@ impl WorkerState {
     }
 }
 
-fn send(writer: &Arc<Mutex<FleetStream>>, msg: &Message) -> Result<(), ProtocolError> {
+fn send(writer: &Mutex<FleetStream>, msg: &Message) -> Result<(), ProtocolError> {
     let mut guard = writer.lock().expect("writer mutex");
     write_message(&mut *guard, msg)?;
     guard.flush()?;

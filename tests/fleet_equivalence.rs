@@ -14,7 +14,12 @@
 //!   request log replay-verifies bitwise;
 //! * a worker replays its log for an audit off its frame loop, so an
 //!   audit lasting many heartbeats neither gets it killed nor comes back
-//!   incomplete.
+//!   incomplete;
+//! * a worker whose serving queue is full refuses rows instead of
+//!   blocking its frame loop, and the router re-sends them: callers see
+//!   plain backpressure, every answer stays bitwise;
+//! * the serving config reaches the workers: with `coalesce_plans` on,
+//!   answers stay bitwise and logs replay clean.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -363,4 +368,91 @@ fn long_audit_does_not_starve_heartbeats() {
         took > patience,
         "the audit of {n} entries ({took:?}) must outlast the heartbeat patience ({patience:?})"
     );
+}
+
+/// A full worker queue is backpressure, not a stall: with a 4-row queue
+/// per plan, 2000 pipelined queries are refused and re-sent many times
+/// over, yet every one is answered bitwise, the worker keeps answering
+/// pings through a 25 ms heartbeat, and its log replays clean.
+#[test]
+fn full_worker_queue_is_backpressure_not_a_stall() {
+    let net = Arc::new(build_net(0xB0B, 2, 6));
+    let plans = plan_family(&net, 0xB0B);
+    let mix = request_mix(0xB0B, 2000, plans.len());
+    let expect = single_process_reference(&net, &plans, &mix);
+    let cfg = FleetConfig {
+        heartbeat: Duration::from_millis(25),
+        serve: ServeConfig {
+            queue_capacity: 4,
+            record_log: true,
+            ..ServeConfig::default()
+        },
+        ..FleetConfig::default()
+    };
+    let fleet = FleetRouter::start(cfg, 1, spawner()).unwrap();
+    let ids: Vec<_> = plans
+        .iter()
+        .map(|p| fleet.register(&net, p, 1.0).unwrap())
+        .collect();
+    let handles: Vec<_> = mix
+        .iter()
+        .map(|(p, input)| fleet.submit(ids[*p], input.clone()))
+        .collect();
+    for (k, h) in handles.into_iter().enumerate() {
+        let got = h.wait().expect("a full worker queue never fails a query");
+        assert_eq!(got.to_bits(), expect[k].to_bits(), "query {k} diverged");
+    }
+    let stats = fleet.stats();
+    let audit = fleet.audit();
+    fleet.shutdown();
+    assert_eq!(stats.heartbeat_kills, 0, "the frame loop stopped reading");
+    assert!(
+        stats.queue_full_retries > 0,
+        "a 4-row queue must have refused some of 2000 pipelined rows"
+    );
+    assert_eq!(stats.answers, mix.len() as u64);
+    assert!(audit.clean(), "the log replays bitwise: {audit:?}");
+    assert_eq!(audit.entries(), mix.len() as u64);
+}
+
+/// `coalesce_plans` crosses the wire: plans over one network share a
+/// serving shard on each worker, and every answer is still bitwise the
+/// single-process reference, with a clean audit.
+#[test]
+fn coalesced_plans_serve_bitwise_over_the_wire() {
+    let net = Arc::new(build_net(0xC0A1, 2, 5));
+    let plans = plan_family(&net, 0xC0A1);
+    let mix = request_mix(0xC0A1, 200, plans.len());
+    let expect = single_process_reference(&net, &plans, &mix);
+    for n_workers in [1usize, 2] {
+        let cfg = FleetConfig {
+            serve: ServeConfig {
+                coalesce_plans: true,
+                record_log: true,
+                ..ServeConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        let fleet = FleetRouter::start(cfg, n_workers, spawner()).unwrap();
+        let ids: Vec<_> = plans
+            .iter()
+            .map(|p| fleet.register_hot(&net, p, 1.0).unwrap())
+            .collect();
+        let handles: Vec<_> = mix
+            .iter()
+            .map(|(p, input)| fleet.submit(ids[*p], input.clone()))
+            .collect();
+        for (k, h) in handles.into_iter().enumerate() {
+            let got = h.wait().expect("served");
+            assert_eq!(
+                got.to_bits(),
+                expect[k].to_bits(),
+                "query {k} diverged under N={n_workers}"
+            );
+        }
+        let audit = fleet.audit();
+        assert!(audit.clean(), "request logs must replay bitwise");
+        assert_eq!(audit.entries(), mix.len() as u64);
+        fleet.shutdown();
+    }
 }

@@ -5,14 +5,20 @@
 //!   `read_frame`/`Message::decode`: every mutation yields a typed
 //!   [`ProtocolError`] or the bit-exact original message — never a
 //!   panic, a hang, or a silently different message;
+//! * **buffered framing** — frames sent back to back and delivered in
+//!   arbitrary chunks decode, through a `BufReader`, to exactly the
+//!   messages sent; a bit flip in frame *k* delivers frames `0..k` and
+//!   then a typed error;
 //! * **live worker leg** — a *real* worker process (re-invocation of
 //!   this binary) fed garbage over its socket replies `Bye` with a
 //!   nonzero reason, resets the connection, and exits with the clean
 //!   protocol-error code (1) — not a panic (101) — with nothing
-//!   panicking on stderr. A clean close at a frame boundary exits 0.
+//!   panicking on stderr. A clean close at a frame boundary exits 0. A
+//!   burst of queries sent in one write is answered in full, bitwise.
 
-use std::io::Read as _;
+use std::io::{BufReader, Read};
 use std::process::{Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use neurofail::fleet::proto::{
@@ -46,6 +52,9 @@ fn corpus() -> Vec<Message> {
             record_log: true,
             streaming_ingest: true,
             max_plan_strikes: 3,
+            coalesce_plans: true,
+            shed_budget_nanos: Some(2_000_000),
+            default_deadline_nanos: None,
         }),
         Message::Register {
             plan: 9,
@@ -115,6 +124,56 @@ fn decode_bytes(bytes: &[u8]) -> Result<Message, ProtocolError> {
     read_message(&mut &bytes[..])
 }
 
+/// A byte source that hands out its bytes in seeded chunks of 1..=`max`
+/// bytes per `read`, the way a socket may split a stream.
+struct Chunked {
+    bytes: Vec<u8>,
+    pos: usize,
+    max: usize,
+    state: u64,
+}
+
+impl Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.state = self
+            .state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let chunk = 1 + (self.state >> 33) as usize % self.max;
+        let n = chunk.min(buf.len()).min(self.bytes.len() - self.pos);
+        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// Every corpus frame, back to back, behind a `BufReader` of `capacity`
+/// bytes over a [`Chunked`] source.
+fn chunked_stream(
+    frames: &[Vec<u8>],
+    seed: u64,
+    max_chunk: usize,
+    capacity: usize,
+) -> BufReader<Chunked> {
+    let source = Chunked {
+        bytes: frames.concat(),
+        pos: 0,
+        max: max_chunk,
+        state: seed,
+    };
+    BufReader::with_capacity(capacity, source)
+}
+
+fn corpus_frames() -> Vec<Vec<u8>> {
+    corpus()
+        .iter()
+        .map(|m| {
+            let (kind, payload) = m.encode();
+            encode_frame(kind, &payload)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
@@ -149,6 +208,50 @@ proptest! {
             Err(ProtocolError::Closed) => prop_assert_eq!(keep, 0),
             Err(_) => {}
             Ok(got) => prop_assert_eq!(&got, msg),
+        }
+    }
+
+    /// Frames sent back to back and delivered in arbitrary chunks decode,
+    /// through a `BufReader` of any capacity, to exactly the messages
+    /// sent, followed by a clean close.
+    #[test]
+    fn chunked_back_to_back_frames_decode_through_a_buffer(
+        seed in 0u64..u64::MAX,
+        max_chunk in 1usize..97,
+        capacity in 1usize..300,
+    ) {
+        let corpus = corpus();
+        let mut r = chunked_stream(&corpus_frames(), seed, max_chunk, capacity);
+        for msg in &corpus {
+            prop_assert_eq!(&read_message(&mut r).expect("frame decodes"), msg);
+        }
+        prop_assert_eq!(read_message(&mut r), Err(ProtocolError::Closed));
+    }
+
+    /// A bit flip in frame `k` of a back-to-back stream delivers frames
+    /// `0..k` intact and then a typed error: never a panic, a hang, or
+    /// a different message.
+    #[test]
+    fn bit_flip_in_a_burst_delivers_the_prefix_then_a_typed_error(
+        k in 0usize..17,
+        pos in 0usize..4096,
+        bit in 0usize..8,
+        seed in 0u64..u64::MAX,
+        max_chunk in 1usize..97,
+    ) {
+        let corpus = corpus();
+        let mut frames = corpus_frames();
+        let k = k % frames.len();
+        let pos = pos % frames[k].len();
+        frames[k][pos] ^= 1 << bit;
+        let mut r = chunked_stream(&frames, seed, max_chunk, 1 << 16);
+        for msg in &corpus[..k] {
+            prop_assert_eq!(&read_message(&mut r).expect("frame before the flip"), msg);
+        }
+        match read_message(&mut r) {
+            Err(ProtocolError::Closed) => prop_assert!(false, "a damaged frame read as a clean close"),
+            Err(_) => {}
+            Ok(got) => prop_assert!(false, "flipped frame {} decoded as {:?}", k, got),
         }
     }
 
@@ -290,6 +393,9 @@ fn live_worker_survives_garbage_with_typed_reset() {
             record_log: true,
             streaming_ingest: false,
             max_plan_strikes: 3,
+            coalesce_plans: false,
+            shed_budget_nanos: None,
+            default_deadline_nanos: None,
         }),
     )
     .unwrap();
@@ -467,6 +573,109 @@ fn live_worker_refuses_non_finite_inputs_typed() {
             }
             other => panic!("query {seq} (finite: {finite}) got {other:?}"),
         }
+    }
+    write_message(&mut conn, &Message::Shutdown).unwrap();
+    let status = wait_with_deadline(&mut child);
+    assert_eq!(status.code(), Some(0), "shutdown is graceful");
+}
+
+/// A burst of 256 queries sent to a live worker in one `write_all` is
+/// answered in full, every value bitwise equal to an in-process
+/// singleton evaluation, and the worker's stats count every answer.
+#[test]
+fn live_worker_answers_a_burst_written_at_once() {
+    use neurofail::fleet::proto::{append_message, plan_to_bytes};
+    use neurofail::inject::PlanRegistry;
+    use neurofail::nn::activation::Activation;
+    use neurofail::nn::builder::MlpBuilder;
+    use neurofail::nn::BatchWorkspace;
+    use neurofail::tensor::init::Init;
+    use std::io::Write as _;
+
+    let listener = FleetListener::bind(Transport::Unix).expect("bind");
+    let mut child = spawn_live_worker(&listener.addr());
+    let mut conn = listener.accept().expect("worker dials in");
+    match read_message(&mut conn).expect("hello") {
+        Message::Hello { worker: 0, gen: 0 } => {}
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    let net = MlpBuilder::new(3)
+        .dense(6, Activation::Sigmoid { k: 1.0 })
+        .dense(5, Activation::Tanh { k: 0.8 })
+        .init(Init::Uniform { a: 0.7 })
+        .build(&mut neurofail::data::rng::rng(11));
+    let plan = InjectionPlan::crash([(0, 2), (1, 4)]);
+    write_message(
+        &mut conn,
+        &Message::Register {
+            plan: 0,
+            net: neurofail::nn::net_to_bytes(&net),
+            plan_bytes: plan_to_bytes(&plan),
+            capacity: 1.0,
+        },
+    )
+    .unwrap();
+    match read_message(&mut conn).expect("registered") {
+        Message::Registered { plan: 0 } => {}
+        other => panic!("expected Registered, got {other:?}"),
+    }
+
+    let inputs: Vec<Vec<f64>> = (0..256)
+        .map(|q| {
+            let t = q as f64 / 256.0;
+            vec![t, 1.0 - 2.0 * t, 0.5 * t - 0.25]
+        })
+        .collect();
+    let mut registry = PlanRegistry::new();
+    let id = registry.register(Arc::new(net), &plan, 1.0).unwrap();
+    let reference = registry.get(id).unwrap();
+    let mut ws = BatchWorkspace::default();
+    let expect: Vec<u64> = inputs
+        .iter()
+        .map(|x| reference.eval_singleton(x, &mut ws).to_bits())
+        .collect();
+
+    let mut burst = Vec::new();
+    for (seq, input) in inputs.into_iter().enumerate() {
+        let seq = seq as u64;
+        append_message(
+            &mut burst,
+            &Message::Query {
+                seq,
+                plan: 0,
+                input,
+            },
+        );
+    }
+    conn.write_all(&burst).expect("write the burst");
+
+    let mut got = vec![None; expect.len()];
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    for _ in 0..expect.len() {
+        match read_message(&mut reader).expect("answer") {
+            Message::Answer { seq, value } => {
+                let slot = &mut got[seq as usize];
+                assert!(slot.is_none(), "query {seq} answered twice");
+                *slot = Some(value.to_bits());
+            }
+            other => panic!("expected an Answer, got {other:?}"),
+        }
+    }
+    for (seq, (got, want)) in got.iter().zip(&expect).enumerate() {
+        assert_eq!(*got, Some(*want), "query {seq} diverged");
+    }
+
+    write_message(&mut conn, &Message::StatsReq).unwrap();
+    match read_message(&mut reader).expect("stats") {
+        Message::StatsReply(s) => {
+            assert_eq!(s.answer_frames, 256);
+            assert!(
+                (1..=256).contains(&s.answer_writes),
+                "answer writes {}",
+                s.answer_writes
+            );
+        }
+        other => panic!("expected StatsReply, got {other:?}"),
     }
     write_message(&mut conn, &Message::Shutdown).unwrap();
     let status = wait_with_deadline(&mut child);

@@ -3,11 +3,11 @@
 //! campaign evaluation, training epochs, serve throughput, multi-plan
 //! evaluation, streaming input-incremental evaluation, the persistent
 //! artifact store's cold-vs-warm measured search and serve warm start,
-//! the cost-model planner against fixed single-engine baselines over a
-//! mixed workload, per-backend GEMM and the im2col-vs-per-row
-//! Conv1d lowering, plus multi-process fleet saturation (the same
-//! pipelined query mix against real worker processes at N = 1, 2, 4
-//! next to the in-process baseline) — so
+//! the registry's admission-deduped checkpoint-then-resume route against
+//! fixed single-engine baselines over a mixed workload, per-backend GEMM
+//! and the im2col-vs-per-row Conv1d lowering, plus multi-process fleet
+//! saturation (the same pipelined query mix against real worker
+//! processes at N = 1, 2, 4 next to the in-process baseline) — so
 //! the perf trajectory is tracked across PRs by diffable numbers rather
 //! than prose. The snapshot records which compute backend served the run
 //! and the CPU features detection saw, so numbers are only compared
@@ -22,7 +22,7 @@
 //! ```
 //!
 //! Smoke mode shrinks every workload so the binary doubles as a CI check
-//! that all five engines still run end to end; the emitted JSON carries
+//! that every engine still runs end to end; the emitted JSON carries
 //! the mode so trajectories only compare like with like.
 
 use std::sync::Arc;
@@ -84,8 +84,9 @@ struct Snapshot {
     serve_recovery: ServeRecovery,
     /// Warm-start accounting for the persistent artifact store runs.
     artifact_store: ArtifactStoreReport,
-    /// Admission/planner accounting for the `planner_mixed_*` runs.
-    planner: PlannerReport,
+    /// Admission accounting for the `planner_mixed_*` runs (the key keeps
+    /// its historical name so snapshots stay diffable).
+    planner: AdmissionReport,
     /// Supervision counters observed across the `fleet_saturation_*`
     /// runs (PR 10). All zero on a healthy run except `answers` —
     /// nonzero recovery counters mean the measurement rode through
@@ -139,13 +140,13 @@ struct ArtifactStoreReport {
     serve_warm_rows_reused: u64,
 }
 
-/// What the admission pipeline and cost-model planner did during the
-/// `planner_mixed_*` runs (PR 9). A healthy snapshot has
+/// What the admission pipeline and the registry's eval dedup did during
+/// the `planner_mixed_*` runs. A healthy snapshot has
 /// `admission_dedup_hits` equal to the duplicate registrations the
 /// workload makes, and the `planner_mixed_auto` metric at least as fast
 /// as the slowest fixed engine — the CI smoke gate checks exactly that.
 #[derive(Debug, Default, Serialize)]
-struct PlannerReport {
+struct AdmissionReport {
     /// Plans admitted into the registry (duplicates included).
     admitted: u64,
     /// Typed admission rejections (0 on a healthy run).
@@ -154,15 +155,8 @@ struct PlannerReport {
     bodies_compiled: u64,
     /// Registrations served by an already-compiled body.
     admission_dedup_hits: u64,
-    /// Per-engine pick counts over the auto run, as `(engine, picks)`
-    /// pairs in [`neurofail_inject::Engine::ALL`] order.
-    picks: Vec<(String, u64)>,
     /// Identical-plan evaluations skipped by result sharing at eval time.
     eval_dedup_hits: u64,
-    /// Planner cost-model observations fed back (auto run).
-    observations: u64,
-    /// Running EWMA of predicted-vs-actual cost error, parts per million.
-    pred_err_ppm: u64,
 }
 
 /// Recovery/degradation counters aggregated over the serve run's shards.
@@ -567,8 +561,8 @@ fn store_metrics(smoke: bool, reps: usize) -> (Vec<Metric>, ArtifactStoreReport)
     (metrics, report)
 }
 
-/// The cost-model planner against fixed single-engine deployments over a
-/// mixed workload: (a) the same probe batch re-evaluated round after
+/// The registry route (`auto`) against fixed single-engine deployments
+/// over a mixed workload: (a) the same probe batch re-evaluated round after
 /// round against a plan family (re-certification traffic — a resident
 /// checkpoint serves it), (b) ad-hoc fresh batches against the family,
 /// (c) one-row ad-hoc queries with no cache infrastructure. Half the
@@ -577,7 +571,7 @@ fn store_metrics(smoke: bool, reps: usize) -> (Vec<Metric>, ArtifactStoreReport)
 /// distinct plan key once — the fixed baselines have no IR, so they pay
 /// every duplicate. Every variant's outputs are asserted bitwise equal
 /// (contract 14) before any throughput is reported.
-fn planner_metrics(smoke: bool, reps: usize) -> (Vec<Metric>, PlannerReport) {
+fn planner_metrics(smoke: bool, reps: usize) -> (Vec<Metric>, AdmissionReport) {
     let (depth, width, batch, rounds, queries) = if smoke {
         (4, 10, 8, 4, 8)
     } else {
@@ -619,9 +613,9 @@ fn planner_metrics(smoke: bool, reps: usize) -> (Vec<Metric>, PlannerReport) {
         ids.len()
     );
 
-    // Planner-routed: the registry's admission IR dedups identical plans,
-    // and the cost model routes each leg (resident checkpoint for the
-    // repeat leg, cheapest engine elsewhere).
+    // Registry-routed: the admission IR dedups identical plans, the
+    // batched legs resume from the cache's checkpoint (resident for the
+    // repeat leg) and the one-row queries from a fresh nominal pass.
     let auto = || {
         let mut cache = CheckpointCache::new(2);
         let mut ws = BatchWorkspace::default();
@@ -731,7 +725,7 @@ fn planner_metrics(smoke: bool, reps: usize) -> (Vec<Metric>, PlannerReport) {
     };
 
     // Contract 14, checked before timing anything: every fixed engine
-    // reproduces the planner-routed values bitwise.
+    // reproduces the registry-routed values bitwise.
     let reference = auto();
     for (name, vals) in [
         ("singleton", singleton()),
@@ -744,7 +738,7 @@ fn planner_metrics(smoke: bool, reps: usize) -> (Vec<Metric>, PlannerReport) {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "{name}: output {i} diverges from the planner route"
+                "{name}: output {i} diverges from the registry route"
             );
         }
     }
@@ -765,19 +759,12 @@ fn planner_metrics(smoke: bool, reps: usize) -> (Vec<Metric>, PlannerReport) {
     ];
 
     let admission = registry.admission_stats();
-    let pstats = registry.planner().stats();
-    let report = PlannerReport {
+    let report = AdmissionReport {
         admitted: admission.admitted,
         rejected: admission.rejected,
         bodies_compiled: admission.bodies_compiled,
         admission_dedup_hits: admission.dedup_hits,
-        picks: neurofail_inject::Engine::ALL
-            .iter()
-            .map(|e| (e.name().to_string(), pstats.picks[e.index()]))
-            .collect(),
-        eval_dedup_hits: pstats.dedup_hits,
-        observations: pstats.observations,
-        pred_err_ppm: pstats.pred_err_ppm,
+        eval_dedup_hits: registry.eval_dedup_hits(),
     };
     (metrics, report)
 }

@@ -361,28 +361,6 @@ impl CheckpointCache {
         self.entries.clear();
     }
 
-    /// Whether a checkpoint for `(net, xs)` is resident in memory right
-    /// now — a guaranteed [`CheckpointCache::checkpoint`] hit. Pure read:
-    /// no counters move, no recency updates, the disk tier is not
-    /// consulted. This is the planner's `cache_resident` feasibility
-    /// probe.
-    pub fn contains(&self, net: &Arc<Mlp>, xs: &Matrix) -> bool {
-        let hash = input_set_hash(xs);
-        let net_hash = net_content_hash(net);
-        self.entries.iter().any(|e| {
-            e.net_hash == net_hash
-                && e.hash == hash
-                && (Arc::ptr_eq(&e.net, net) || net_content_eq(&e.net, net))
-                && e.xs.rows() == xs.rows()
-                && e.xs.cols() == xs.cols()
-                && e.xs
-                    .data()
-                    .iter()
-                    .zip(xs.data())
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-        })
-    }
-
     /// Look up the nominal checkpoint for `(net, xs)`, running the
     /// nominal pass and inserting it on a miss. The returned view is
     /// bitwise identical either way — a hit only changes cost.

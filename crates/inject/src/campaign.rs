@@ -17,7 +17,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::executor::CompiledPlan;
 use crate::plan::InjectionPlan;
-use crate::planner::{Engine, Planner, RequestMix};
 use crate::sampler::{sample_neuron_plan, sample_synapse_plan, FaultSpec};
 
 /// Campaign parameters.
@@ -184,47 +183,23 @@ pub fn run_campaign_trials(
         // O(MAX_EVAL_BATCH · d + Σ N_l) no matter how large the trial is.
         // Drawing and evaluation never interleave on the RNG, and rows are
         // bitwise independent of the batch they ride in, so chunking never
-        // changes a result. Each chunk is routed by the global cost-model
-        // planner; on a late-fault plan the model lands on the suffix
-        // engine (nominal pass computed once, faulty pass resumed at the
-        // plan's first faulty layer — `output_error_batch` at fewer
-        // flops), and any other pick is bitwise identical (contract 14).
+        // changes a result. Each chunk computes its nominal pass once and
+        // resumes the faulty pass at the plan's first faulty layer —
+        // `output_error_batch` at fewer flops, bitwise equal (contract 5).
         let chunk_rows = cfg.inputs_per_trial.min(MAX_EVAL_BATCH);
         let mut ws_nominal = BatchWorkspace::for_net(net, chunk_rows);
         let mut ws_scratch = BatchWorkspace::for_net(net, chunk_rows);
         let mut stats = OnlineStats::new();
         let mut worst: Option<WorstCase> = None;
         let mut remaining = cfg.inputs_per_trial;
-        let planner = Planner::global();
-        let depth = net.depth();
-        let suffix_layers = depth - compiled.first_faulty_layer();
         while remaining > 0 {
             let n = remaining.min(MAX_EVAL_BATCH);
             let mut chunk = Matrix::zeros(n, d);
             for xi in chunk.data_mut() {
                 *xi = rand::Rng::gen_range(&mut rng, 0.0..=1.0);
             }
-            let mix = RequestMix {
-                rows: n,
-                plans: 1,
-                depth,
-                suffix_layers,
-                cache_available: false,
-                cache_resident: false,
-                stream_prefix_rows: 0,
-            };
-            let engine = planner.choose(&mix);
-            let start = std::time::Instant::now();
-            let errors = match engine {
-                Engine::WholeBatch | Engine::Singleton => {
-                    // Rows of one chunk share the draw, so a per-row split
-                    // buys nothing; the whole-batch engine is the
-                    // singleton engine's batched twin (contract 5).
-                    compiled.output_error_batch(net, &chunk, &mut ws_scratch)
-                }
-                _ => compiled.output_error_resumed(net, &chunk, &mut ws_nominal, &mut ws_scratch),
-            };
-            planner.observe(engine, &mix, start.elapsed().as_nanos() as u64);
+            let errors =
+                compiled.output_error_resumed(net, &chunk, &mut ws_nominal, &mut ws_scratch);
             for (b, &err) in errors.iter().enumerate() {
                 stats.push(err);
                 if worst.as_ref().map(|w| err > w.error).unwrap_or(true) {

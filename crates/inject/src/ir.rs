@@ -1,9 +1,8 @@
 //! Admission-time plan compilation: validate → normalize → compile → cache.
 //!
 //! Every long-lived consumer of injection plans (the registry, the serving
-//! engine, campaign schedulers) used to compile plans ad hoc and pick an
-//! evaluation engine at each call site. This module is the front door that
-//! replaces that: a plan is **admitted** once, at registration time, into a
+//! engine, campaign schedulers) used to compile plans ad hoc at each call
+//! site. This module is the front door that replaces that: a plan is **admitted** once, at registration time, into a
 //! normalized [`PlanIr`] —
 //!
 //! * **validate** — out-of-range or duplicate sites are rejected here, once,

@@ -33,12 +33,13 @@
 //!   [`streaming::StreamingEvaluator`] that certifies a fixed plan family
 //!   against inputs arriving in chunks — new work proportional to
 //!   (new inputs × suffix layers), never (all inputs × all layers).
-//! * [`ir`] / [`planner`] — the **admission pipeline** (validate →
-//!   normalize → compile → cache: typed rejection, dedup of plans equal
-//!   up to fault value onto one compiled body, warm-started admission
-//!   from the [`store`]) and the cost-model [`planner::Planner`] that
-//!   picks among the five bitwise-equivalent engines per request mix
-//!   (ARCHITECTURE contract 14: planner choice is bitwise invisible).
+//! * [`ir`] — the **admission pipeline** (validate → normalize →
+//!   compile → cache: typed rejection, dedup of plans equal up to fault
+//!   value onto one compiled body, warm-started admission from the
+//!   [`store`]). Every evaluation route then runs the same shape: a
+//!   nominal checkpoint (fresh pass, cache, store or streaming extend)
+//!   plus per-plan faulty suffixes; which source supplied the checkpoint
+//!   is bitwise invisible (ARCHITECTURE contract 14).
 
 #![warn(missing_docs)]
 
@@ -51,7 +52,6 @@ pub mod input_search;
 pub mod ir;
 pub mod multi;
 pub mod plan;
-pub mod planner;
 pub mod registry;
 pub mod sampler;
 pub mod store;
@@ -72,7 +72,6 @@ pub use neurofail_tensor::backend::{
     active_kind, detected_features, force_backend, supported_kinds, with_backend, BackendKind,
 };
 pub use plan::{ByzantineStrategy, InjectionPlan, NeuronFault, SynapseFault};
-pub use planner::{Engine, Planner, PlannerStats, RequestMix};
 pub use registry::{PlanId, PlanRegistry, RegisteredPlan};
 pub use sampler::FaultSpec;
 pub use store::{ArtifactStore, StoreStats};

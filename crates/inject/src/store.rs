@@ -779,9 +779,10 @@ fn decode_checkpoint(
         // the checksum valid): the record is for a *different* network.
         return Err(DecodeError("stored network differs"));
     }
-    let rows = r.get_len(1)?;
-    let cols = r.get_len(1)?;
-    if rows != xs.rows() || cols != xs.cols() {
+    // Shape words are compared exactly, not read as lengths: a zero-row
+    // record has no payload bytes left to bound a width against.
+    let rows = xs.rows();
+    if r.get_u64()? != rows as u64 || r.get_u64()? != xs.cols() as u64 {
         return Err(DecodeError("stored input shape differs"));
     }
     for &v in xs.data() {
@@ -794,7 +795,7 @@ fn decode_checkpoint(
     }
     ws.reshape(net, rows);
     for (l, layer) in net.layers().iter().enumerate() {
-        if r.get_len(1)? != layer.out_dim() {
+        if r.get_u64()? != layer.out_dim() as u64 {
             return Err(DecodeError("stored layer width differs"));
         }
         for v in ws.sums[l].data_mut() {
@@ -878,6 +879,20 @@ mod tests {
         drop(store);
         let mut fresh = ArtifactStore::open(&dir).unwrap();
         assert!(fresh.load_checkpoint(&net, &xs, &mut out).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_row_checkpoint_round_trips() {
+        let dir = tmp_dir("zerorow");
+        let net = net(2);
+        let xs = points(0, 0);
+        let (ws, y) = checkpoint_of(&net, &xs);
+        let mut store = ArtifactStore::open(&dir).unwrap();
+        assert!(store.publish_checkpoint(&net, &xs, &ws, &y).unwrap());
+        let mut out = BatchWorkspace::default();
+        assert_eq!(store.load_checkpoint(&net, &xs, &mut out), Some(Vec::new()));
+        assert_eq!((store.stats().hits, store.stats().verify_rejects), (1, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -68,9 +68,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use neurofail_inject::{
-    ArtifactStore, Engine, PlanId, PlanRegistry, Planner, RegisteredPlan, RequestMix,
-};
+use neurofail_inject::{ArtifactStore, PlanId, PlanRegistry, RegisteredPlan};
 use neurofail_nn::{BatchWorkspace, Mlp, NoBatchTap};
 use neurofail_par::channel::{self, TrySendError};
 use neurofail_par::seed::splitmix64;
@@ -476,12 +474,6 @@ struct ShardShared {
     /// published back — so shard-mates, respawned workers, and future
     /// processes reuse each other's flushes. `None` = compute-only.
     store: Option<Arc<Mutex<ArtifactStore>>>,
-    /// The registry's cost-model planner (one instance shared by every
-    /// shard): flush routes are recorded here, and when neither streaming
-    /// state nor the store serves a flush, its cost model picks between
-    /// the suffix and whole-batch engines (bitwise invisible either way —
-    /// contract 14).
-    planner: Arc<Planner>,
 }
 
 /// One shard: the queue's send side, the supervisor handle, and the
@@ -621,7 +613,6 @@ impl CertServer {
                     strikes: (0..plan_count).map(|_| AtomicU32::new(0)).collect(),
                     quarantined: (0..plan_count).map(|_| AtomicBool::new(false)).collect(),
                     store: store.clone(),
-                    planner: Arc::clone(registry.planner()),
                 });
                 let handles: Vec<Option<JoinHandle<()>>> = (0..workers)
                     .map(|w| Some(spawn_worker(&shared, w, Vec::new(), ctl_tx.clone())))
@@ -909,11 +900,7 @@ impl CertServer {
         let &(shard, _) = self.routes.get(plan.0)?;
         let s = &self.shards[shard];
         let depth = s.tx.as_ref().map_or(0, channel::Sender::len);
-        let mut snap = s.shared.stats.snapshot(depth);
-        // The planner is shared by every shard (it is the registry's):
-        // its block reports server-wide routing, not per-shard slices.
-        snap.planner = s.shared.planner.stats();
-        Some(snap)
+        Some(s.shared.stats.snapshot(depth))
     }
 
     /// Whether `plan` is currently quarantined (crossed
@@ -982,12 +969,7 @@ impl CertServer {
     fn final_stats(&self) -> Vec<ServeStats> {
         self.routes
             .iter()
-            .map(|&(shard, _)| {
-                let shared = &self.shards[shard].shared;
-                let mut snap = shared.stats.snapshot(0);
-                snap.planner = shared.planner.stats();
-                snap
-            })
+            .map(|&(shard, _)| self.shards[shard].shared.stats.snapshot(0))
             .collect()
     }
 }
@@ -1268,7 +1250,6 @@ fn worker_loop(
                 .iter()
                 .zip(xs.data())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-        let mut store_hit = false;
         let ck_reused = if ck_hit {
             if rows > prev_rows {
                 tail.resize(rows - prev_rows, dim);
@@ -1299,7 +1280,6 @@ fn worker_loop(
                 Some(ys) => {
                     nominal.extend(ys);
                     stats.on_store_hit((rows * net.depth()) as u64);
-                    store_hit = true;
                 }
                 None => {
                     nominal.extend(net.forward_batch(&xs, &mut ws_nominal));
@@ -1309,45 +1289,6 @@ fn worker_loop(
             0
         };
         neurofail_par::failpoint!("serve::mid_flush");
-        // Route the flush. Streaming reuse and store hits are dictated by
-        // live state the cost model cannot see up front, so they are
-        // recorded as picks; otherwise the planner's cost model decides
-        // between the suffix and whole-batch engines for the flush's plan
-        // mix — a whole-batch pick resumes from layer 0 (a full faulty
-        // pass), bitwise identical to the suffix resume (contract 14).
-        let mut group_count = 0usize;
-        let mut total_suffix = 0usize;
-        {
-            let mut r0 = 0usize;
-            while r0 < rows {
-                let slot = inflight[order[r0]].as_ref().expect("staged").slot;
-                let mut r1 = r0 + 1;
-                while r1 < rows && inflight[order[r1]].as_ref().expect("staged").slot == slot {
-                    r1 += 1;
-                }
-                group_count += 1;
-                total_suffix += net.depth() - plans[slot].1.ir().first_faulty_layer();
-                r0 = r1;
-            }
-        }
-        let mix = RequestMix {
-            rows,
-            plans: group_count,
-            depth: net.depth(),
-            suffix_layers: total_suffix,
-            cache_available: store_hit,
-            cache_resident: store_hit,
-            stream_prefix_rows: if ck_hit { prev_rows } else { 0 },
-        };
-        let engine = if ck_hit {
-            shared.planner.note_pick(Engine::Streaming);
-            Engine::Streaming
-        } else if store_hit {
-            shared.planner.note_pick(Engine::Cached);
-            Engine::Cached
-        } else {
-            shared.planner.choose(&mix)
-        };
         values.clear();
         values.resize(rows, 0.0);
         let mut saved = 0u64;
@@ -1359,13 +1300,7 @@ fn worker_loop(
                 r1 += 1;
             }
             let entry = &plans[slot].1;
-            let from = match engine {
-                // A whole-batch (or singleton) pick recomputes the whole
-                // faulty pass: resume from layer 0. Nothing is saved and
-                // `saved` accounts exactly that.
-                Engine::WholeBatch | Engine::Singleton => 0,
-                _ => entry.ir().first_faulty_layer(),
-            };
+            let from = entry.ir().first_faulty_layer();
             // A panic between these two stores is attributed to `slot`'s
             // plan by the supervisor (strike accounting).
             shared.current_slot[w].store(slot, Ordering::Relaxed);
@@ -1411,7 +1346,6 @@ fn worker_loop(
         }
         let done = Instant::now();
         let flush_ns = done.duration_since(compute_start).as_nanos() as u64;
-        shared.planner.observe(engine, &mix, flush_ns);
         stats.observe_row_cost(flush_ns / rows as u64);
 
         // Phase 4: account, record, respond — in that order, so a caller

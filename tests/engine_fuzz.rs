@@ -23,12 +23,14 @@
 //! envelope rather than bitwise — it accumulates dot products in a
 //! different order and uses `libm` transcendentals.
 //!
-//! A **planner sweep** rides on the same generator: the plans are
-//! registered in a [`neurofail::inject::PlanRegistry`] and every engine
-//! the cost-model planner can pick is forced in turn
-//! ([`Planner::force`]), each held bitwise to the whole-batch reference —
-//! the executable form of ARCHITECTURE contract 14 (planner
-//! invisibility).
+//! A **checkpoint-source sweep** rides on the same generator: the plans
+//! are registered in a [`neurofail::inject::PlanRegistry`] and evaluated
+//! with the nominal checkpoint supplied by each source in turn — a fresh
+//! pass, a cold and a warm [`neurofail::inject::CheckpointCache`], and an
+//! [`neurofail::inject::ArtifactStore`] populated by an earlier cache —
+//! each held bitwise to the whole-batch reference. With the streaming
+//! extend above, that is the executable form of ARCHITECTURE contract 14
+//! (the checkpoint source is bitwise-invisible).
 //!
 //! A **compute-backend sweep** rides on the same generator: the
 //! whole-batch engine is re-run under every supported
@@ -211,59 +213,47 @@ proptest! {
             }
         }
 
-        // Planner dimension (ARCHITECTURE contract 14): register the same
-        // plans in a registry and force every engine the cost-model
-        // planner can pick, asserting each forced choice returns results
-        // bitwise equal to the whole-batch reference. `Cached` is forced
-        // through `eval_many_cached` twice so both the cold (miss) and
-        // warm (checkpoint hit) paths are covered; an infeasible forced
-        // engine falls back to the cost model, which still must agree.
+        // Checkpoint-source sweep (ARCHITECTURE contract 14): the same
+        // plans through a registry, the nominal checkpoint supplied by a
+        // fresh pass, a cold cache, a warm cache and a store a previous
+        // cache populated — each bitwise the whole-batch reference.
         {
-            use neurofail::inject::{CheckpointCache, Engine, PlanRegistry};
+            use neurofail::inject::{ArtifactStore, CheckpointCache, PlanRegistry};
             let mut registry = PlanRegistry::new();
             let ids: Vec<_> = plans
                 .iter()
                 .map(|p| registry.register_compiled(Arc::clone(&net), p.clone()))
                 .collect();
-            for engine in Engine::ALL {
-                registry.planner().force(Some(engine));
-                let got = if engine == Engine::Cached {
-                    let mut cache = CheckpointCache::new(2);
-                    let mut scratch = BatchWorkspace::default();
-                    let cold = registry.eval_many_cached(&ids, &xs, &mut cache, &mut scratch);
-                    let warm = registry.eval_many_cached(&ids, &xs, &mut cache, &mut scratch);
-                    for (pi, (c, w)) in cold.iter().zip(&warm).enumerate() {
-                        prop_assert_eq!(c.len(), w.len());
-                        for (b, (cv, wv)) in c.iter().zip(w).enumerate() {
-                            prop_assert_eq!(
-                                cv.to_bits(), wv.to_bits(),
-                                "cached cold vs warm: plan {}, row {}", pi, b
-                            );
-                        }
-                    }
-                    warm
-                } else {
-                    registry.eval_many(&ids, &xs)
-                };
+            let dir = std::env::temp_dir()
+                .join(format!("nf-engine-fuzz-store-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut scratch = BatchWorkspace::default();
+            let mut cache = CheckpointCache::new(2);
+            cache.attach_store(ArtifactStore::open(&dir).expect("open store"));
+            let mut sources = vec![("fresh", registry.eval_many(&ids, &xs))];
+            for source in ["cold cache", "warm cache"] {
+                sources.push((source, registry.eval_many_cached(&ids, &xs, &mut cache, &mut scratch)));
+            }
+            prop_assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
+            drop(cache); // flushes the store index
+            let mut stored = CheckpointCache::new(2);
+            stored.attach_store(ArtifactStore::open(&dir).expect("reopen store"));
+            sources.push(("store", registry.eval_many_cached(&ids, &xs, &mut stored, &mut scratch)));
+            let store_hits = stored.store_stats().expect("store attached").hits;
+            let store_misses = stored.stats().misses;
+            drop(stored);
+            let _ = std::fs::remove_dir_all(&dir);
+            prop_assert!(store_hits > 0, "store leg never hit the store");
+            prop_assert_eq!(store_misses, 0, "store leg ran a nominal pass");
+            for (source, got) in &sources {
                 for (pi, (g, w)) in got.iter().zip(&whole).enumerate() {
                     prop_assert_eq!(g.len(), w.len());
                     for (b, (gv, wv)) in g.iter().zip(w).enumerate() {
                         prop_assert_eq!(
                             gv.to_bits(), wv.to_bits(),
-                            "forced {} vs whole-batch: plan {}, row {}",
-                            engine.name(), pi, b
+                            "{} vs whole-batch: plan {}, row {}", source, pi, b
                         );
                     }
-                }
-            }
-            registry.planner().force(None);
-            let free = registry.eval_many(&ids, &xs);
-            for (pi, (g, w)) in free.iter().zip(&whole).enumerate() {
-                for (b, (gv, wv)) in g.iter().zip(w).enumerate() {
-                    prop_assert_eq!(
-                        gv.to_bits(), wv.to_bits(),
-                        "planner free choice vs whole-batch: plan {}, row {}", pi, b
-                    );
                 }
             }
         }
